@@ -21,6 +21,10 @@
 //!   out-of-core CC run under an armed [`WallProfiler`]: total and
 //!   in-kernel wall time, per-GAS-phase breakdown, and the across-shard
 //!   fan-out imbalance at every point;
+//! - **compression** — out-of-core CC raw and ζ₃-compressed on the R-MAT
+//!   and a 2D grid of the same edge budget: transfer bytes, wall times,
+//!   and the decode throughput (ns per edge entry of a full CSC + CSR
+//!   `TopoView` walk) raw and under varint and ζ1–ζ4;
 //! - **sparse_bfs_iteration** — the targeted microbenchmark of one
 //!   BFS-tail iteration at ~0.1% frontier density;
 //! - one appended line in `results/bench_trajectory.jsonl` keyed by the
@@ -37,7 +41,10 @@ use std::time::Instant;
 use gr_algorithms::{Bfs, Cc, PageRank, Sssp};
 use gr_bench::trajectory::{self, BenchRow, TrajectoryEntry};
 use gr_bench::{effective_host_threads, run_gr_wall, set_host_threads, Algo};
-use gr_graph::{build_shards, gen, Bitmap, CompressionCodec, GraphLayout, Interval, TopoView};
+use gr_graph::{
+    build_shards, gen, Bitmap, CompressedTopology, CompressionCodec, GraphLayout, Interval,
+    TopoView,
+};
 use gr_observe::Observer;
 use gr_sim::Platform;
 use graphreduce::phases::{activate_shard, apply_shard};
@@ -288,8 +295,9 @@ fn sweep_point(
 // ---------------------------------------------------------------------------
 
 /// One graph's compressed-vs-raw comparison: the simulated host↔device
-/// transfer volumes of an out-of-core CC run and the real host wall time
-/// paid to decode rows lazily through the gap streams.
+/// transfer volumes of an out-of-core CC run, the real host wall time
+/// paid to decode rows lazily through the gap streams, and the decode
+/// throughput of every codec.
 struct CompressionRow {
     graph: &'static str,
     codec: &'static str,
@@ -299,6 +307,41 @@ struct CompressionRow {
     raw_median_ms: f64,
     compressed_median_ms: f64,
     wall_delta_pct: f64,
+    /// `(view, median ns per edge entry)` of a full CSC + CSR walk, for
+    /// the raw layout and each codec in [`DECODE_CODECS`].
+    decode_ns_per_edge: Vec<(&'static str, f64)>,
+}
+
+const DECODE_CODECS: [CompressionCodec; 5] = [
+    CompressionCodec::Varint,
+    CompressionCodec::Zeta(1),
+    CompressionCodec::Zeta(2),
+    CompressionCodec::Zeta(3),
+    CompressionCodec::Zeta(4),
+];
+
+/// Decode throughput: a full CSC + CSR walk through `TopoView`, raw and
+/// under every codec, in median nanoseconds per edge entry.
+fn bench_decode(layout: &GraphLayout, args: &Args) -> Vec<(&'static str, f64)> {
+    let entries = (2 * layout.num_edges()).max(1) as f64;
+    let walk = |view: TopoView<'_>| {
+        let ms = time_trials(args.warmup, args.trials, || {
+            let mut acc = 0u64;
+            for v in 0..layout.num_vertices() {
+                for (u, e) in view.csc_entries(v).chain(view.csr_entries(v)) {
+                    acc = acc.wrapping_add(u64::from(u) ^ u64::from(e));
+                }
+            }
+            std::hint::black_box(acc);
+        });
+        median(&ms) * 1e6 / entries
+    };
+    let mut out = vec![("raw", walk(TopoView::raw(layout)))];
+    for codec in DECODE_CODECS {
+        let comp = CompressedTopology::build(layout, codec);
+        out.push((codec.name(), walk(TopoView::compressed(layout, &comp))));
+    }
+    out
 }
 
 /// Bench one layout compressed and raw on its out-of-core platform. RMAT
@@ -348,6 +391,7 @@ fn bench_compression_on(
         raw_median_ms: raw_ms,
         compressed_median_ms: z_ms,
         wall_delta_pct: 100.0 * (z_ms - raw_ms) / raw_ms.max(1e-12),
+        decode_ns_per_edge: bench_decode(layout, args),
     };
     eprintln!(
         "compression {graph:>5} ({}): transfers {:.2} -> {:.2} MB ({:.2}x), \
@@ -360,6 +404,12 @@ fn bench_compression_on(
         row.compressed_median_ms,
         row.wall_delta_pct
     );
+    let decode: Vec<String> = row
+        .decode_ns_per_edge
+        .iter()
+        .map(|(view, ns)| format!("{view} {ns:.2}"))
+        .collect();
+    eprintln!("decode {graph:>5} ns/edge: {}", decode.join(", "));
     row
 }
 
@@ -535,8 +585,13 @@ fn v2_json(
     json.push_str("  ],\n");
     json.push_str("  \"compression\": [\n");
     for (i, c) in compression.iter().enumerate() {
+        let decode: Vec<String> = c
+            .decode_ns_per_edge
+            .iter()
+            .map(|(view, ns)| format!("\"{view}\": {ns:.4}"))
+            .collect();
         json.push_str(&format!(
-            "    {{\"graph\": \"{}\", \"codec\": \"{}\", \"raw_bytes\": {}, \"compressed_bytes\": {}, \"transfer_ratio\": {:.4}, \"raw_median_ms\": {:.4}, \"compressed_median_ms\": {:.4}, \"wall_delta_pct\": {:.2}}}{}\n",
+            "    {{\"graph\": \"{}\", \"codec\": \"{}\", \"raw_bytes\": {}, \"compressed_bytes\": {}, \"transfer_ratio\": {:.4}, \"raw_median_ms\": {:.4}, \"compressed_median_ms\": {:.4}, \"wall_delta_pct\": {:.2}, \"decode_ns_per_edge\": {{{}}}}}{}\n",
             c.graph,
             c.codec,
             c.raw_bytes,
@@ -545,6 +600,7 @@ fn v2_json(
             c.raw_median_ms,
             c.compressed_median_ms,
             c.wall_delta_pct,
+            decode.join(", "),
             if i + 1 < compression.len() { "," } else { "" }
         ));
     }

@@ -285,9 +285,13 @@ fn unwrap_if_compressed(path: &Path, buf: Vec<u8>) -> Result<Vec<u8>, SnapshotEr
         offset: 9,
         what: "codec tag",
     })?;
-    let rawlen = r.u64("raw length")? as usize;
+    let rawlen = r.u64("raw length")?;
     let z = &r.buf[r.pos..];
-    Ok(decompress_payload(codec, z, rawlen))
+    decompress_payload(codec, z, rawlen).map_err(|what| SnapshotError::Corrupt {
+        path: path.to_path_buf(),
+        offset: r.pos as u64,
+        what,
+    })
 }
 
 /// Read a snapshot-family file and strip its containers: decompress a
@@ -566,6 +570,91 @@ mod tests {
             Err(SnapshotError::ChecksumMismatch { .. })
         ));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A ζ₃ GRCZ container around a small full snapshot, and the
+    /// snapshot's own bytes.
+    fn grcz_fixture() -> (Vec<u8>, Vec<u8>) {
+        let l = layout();
+        let fp = fingerprint_for(&Cc, &l);
+        let inner = encode_snapshot::<Cc>(
+            &fp,
+            &(0..96).collect::<Vec<u32>>(),
+            &[(); 800],
+            &vec![u32::MAX; 96],
+            &Bitmap::full(96),
+            &Bitmap::new(96),
+            &Bitmap::new(96),
+            &trace_of(1),
+        );
+        (wrap_compressed(CompressionCodec::Zeta(3), &inner), inner)
+    }
+
+    /// Rewrite a container's fields through `edit` (checksum excluded)
+    /// and re-seal it, so only the decoder stands between a lie and the
+    /// caller.
+    fn reseal(good: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut body = good[..good.len() - 8].to_vec();
+        edit(&mut body);
+        let checksum = fnv1a(&body);
+        body.extend_from_slice(&checksum.to_le_bytes());
+        body
+    }
+
+    #[test]
+    fn compressed_container_refuses_hostile_raw_lengths() {
+        let (good, inner) = grcz_fixture();
+        let path = Path::new("hostile.grck");
+        let rawlen = inner.len() as u64;
+        // `Some(len)` lies about the raw length; `None` cuts the payload's
+        // last 3 bytes.
+        let lies = [
+            ("overrun by one word", Some(rawlen + 4)),
+            ("overrun by a tail byte", Some(rawlen + 1)),
+            ("u64::MAX", Some(u64::MAX)),
+            ("truncated payload", None),
+        ];
+        for (case, lie) in lies {
+            let bad = reseal(&good, |b| match lie {
+                Some(len) => b[9..17].copy_from_slice(&len.to_le_bytes()),
+                None => b.truncate(b.len() - 3),
+            });
+            match unwrap_if_compressed(path, bad) {
+                // u64::MAX is refused before the decoder runs.
+                Err(SnapshotError::Corrupt { what, .. }) => assert!(
+                    what == "raw length" || (what == "compressed payload" && lie != Some(u64::MAX)),
+                    "{case}: {what}"
+                ),
+                other => panic!("{case}: expected corrupt, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            unwrap_if_compressed(path, reseal(&good, |_| {})).unwrap(),
+            inner
+        );
+    }
+
+    #[test]
+    fn compressed_container_refuses_retired_zeta_tags() {
+        let (good, inner) = grcz_fixture();
+        let path = Path::new("tags.grck");
+        assert_eq!(good[8], 0x13, "zeta3 containers carry tag 0x13");
+        for old in 1..=8u8 {
+            assert!(
+                matches!(
+                    unwrap_if_compressed(path, reseal(&good, |b| b[8] = old)),
+                    Err(SnapshotError::Corrupt {
+                        what: "codec tag",
+                        ..
+                    })
+                ),
+                "tag {old}"
+            );
+        }
+        // Varint containers (tag 0, unchanged) still round-trip.
+        let varint = wrap_compressed(CompressionCodec::Varint, &inner);
+        assert_eq!(varint[8], 0);
+        assert_eq!(unwrap_if_compressed(path, varint).unwrap(), inner);
     }
 
     #[test]

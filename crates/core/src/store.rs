@@ -367,7 +367,7 @@ impl ShardStore for FileShardStore {
         if !v2 {
             return Ok(body[16..].to_vec());
         }
-        let rawlen = u64::from_le_bytes(buf[16..24].try_into().unwrap()) as usize;
+        let rawlen = u64::from_le_bytes(buf[16..24].try_into().unwrap());
         let Some(codec) = codec_from_tag(buf[24]) else {
             return Err(StoreError::Corrupt {
                 shard,
@@ -375,7 +375,11 @@ impl ShardStore for FileShardStore {
                 what: "codec tag",
             });
         };
-        Ok(decompress_payload(codec, &body[header..], rawlen))
+        decompress_payload(codec, &body[header..], rawlen).map_err(|what| StoreError::Corrupt {
+            shard,
+            path,
+            what,
+        })
     }
 
     fn contains(&self, shard: u32) -> bool {
@@ -383,18 +387,23 @@ impl ShardStore for FileShardStore {
     }
 }
 
-/// Frame byte naming the v2 codec: 0 = varint, `k` = ζ_k.
+/// First ζ frame tag: ζ_k frames carry `ZETA_TAG_BASE + k`. Tags `1..=8`
+/// named ζ_k in a retired bit order (minimal-binary suffix MSB-first, one
+/// bit at a time) and are refused as a corrupt codec tag, never decoded.
+const ZETA_TAG_BASE: u8 = 0x10;
+
+/// Frame byte naming the codec: 0 = varint, `ZETA_TAG_BASE + k` = ζ_k.
 pub(crate) fn codec_tag(codec: CompressionCodec) -> u8 {
     match codec {
         CompressionCodec::Varint => 0,
-        CompressionCodec::Zeta(k) => k.clamp(1, 8) as u8,
+        CompressionCodec::Zeta(k) => ZETA_TAG_BASE + k.clamp(1, 8) as u8,
     }
 }
 
 pub(crate) fn codec_from_tag(tag: u8) -> Option<CompressionCodec> {
     match tag {
         0 => Some(CompressionCodec::Varint),
-        k @ 1..=8 => Some(CompressionCodec::Zeta(k as u32)),
+        t @ 0x11..=0x18 => Some(CompressionCodec::Zeta(u32::from(t - ZETA_TAG_BASE))),
         _ => None,
     }
 }
@@ -426,27 +435,59 @@ pub(crate) fn compress_payload(codec: CompressionCodec, payload: &[u8]) -> Vec<u
     out
 }
 
-/// Exact inverse of [`compress_payload`]; `rawlen` comes from the frame
-/// header (the checksum has already vouched for both by the time this
-/// runs).
-pub(crate) fn decompress_payload(codec: CompressionCodec, z: &[u8], rawlen: usize) -> Vec<u8> {
-    let mut bits = vec![0u64; z.len().div_ceil(8)];
-    for (i, &b) in z.iter().enumerate() {
-        bits[i / 8] |= (b as u64) << ((i % 8) * 8);
+/// Exact inverse of [`compress_payload`]. `rawlen` comes from the frame
+/// header; the checksum vouches that the bytes are the ones written, not
+/// that a writer of this program wrote them. So a `rawlen` the stream
+/// cannot hold fails as `"raw length"` before anything is allocated, and
+/// a decode that runs past the stream fails as `"compressed payload"`.
+pub(crate) fn decompress_payload(
+    codec: CompressionCodec,
+    z: &[u8],
+    rawlen: u64,
+) -> Result<Vec<u8>, &'static str> {
+    let stream_bits = z.len() as u64 * 8;
+    let (words, tail) = (rawlen / 4, rawlen % 4);
+    // Every varint takes at least 8 bits, every ζ code at least 1, and
+    // every raw tail byte 8.
+    let min_code_bits = if codec == CompressionCodec::Varint {
+        8
+    } else {
+        1
+    };
+    let fits = words
+        .checked_mul(min_code_bits)
+        .and_then(|b| b.checked_add(tail * 8))
+        .is_some_and(|b| b <= stream_bits);
+    if !fits {
+        return Err("raw length");
     }
+    let bits: Vec<u64> = z
+        .chunks(8)
+        .map(|c| {
+            let mut word = [0u8; 8];
+            word[..c.len()].copy_from_slice(c);
+            u64::from_le_bytes(word)
+        })
+        .collect();
+    let dec = codec.decoder();
     let mut r = BitReader::new(&bits, 0);
-    let words = rawlen / 4;
-    let mut out = Vec::with_capacity(rawlen);
+    let mut out = Vec::with_capacity(rawlen as usize);
     let mut prev = [0u32; 2];
-    for i in 0..words {
-        let word = (prev[i % 2] as i64 + unzigzag(codec.read(&mut r))) as u32;
+    for i in 0..words as usize {
+        let word = (prev[i % 2] as i64).wrapping_add(unzigzag(dec.read(&mut r))) as u32;
+        if r.bit_pos() > stream_bits {
+            return Err("compressed payload");
+        }
         out.extend_from_slice(&word.to_le_bytes());
         prev[i % 2] = word;
     }
-    for _ in 0..rawlen % 4 {
+    for _ in 0..tail {
         out.push(r.read_bits(8) as u8);
     }
-    out
+    if r.bit_pos() > stream_bits {
+        return Err("compressed payload");
+    }
+    Ok(out)
 }
 
 /// Serialize a shard's topology — its slice of the CSC/CSR adjacency as
@@ -635,6 +676,92 @@ mod tests {
             s.get(5).unwrap(),
             b"payload bytes here, long enough to damage"
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Rewrite a GRS2 frame's fields through `edit` (header and payload,
+    /// checksum excluded) and re-seal it, so only the decoder stands
+    /// between the lie and the caller.
+    fn reseal(path: &Path, good: &[u8], edit: impl FnOnce(&mut Vec<u8>)) {
+        let mut body = good[..good.len() - 8].to_vec();
+        edit(&mut body);
+        let clen = (body.len() - 25) as u64;
+        body[8..16].copy_from_slice(&clen.to_le_bytes());
+        let checksum = fnv1a(&body);
+        body.extend_from_slice(&checksum.to_le_bytes());
+        fs::write(path, &body).unwrap();
+    }
+
+    #[test]
+    fn hostile_raw_lengths_fail_typed_without_panicking() {
+        let dir = tmpdir("hostile");
+        let payload = b"payload bytes here, long enough to damage";
+        for codec in [CompressionCodec::Varint, CompressionCodec::Zeta(3)] {
+            let s = FileShardStore::with_codec(&dir, Some(codec));
+            s.put(5, payload).unwrap();
+            let path = dir.join("shard-000005.grsh");
+            let good = fs::read(&path).unwrap();
+            let rawlen = payload.len() as u64;
+            // `Some(len)` lies about the raw length; `None` cuts the
+            // payload's last 3 bytes.
+            let lies = [
+                ("overrun by one word", Some(rawlen + 4)),
+                ("overrun by a tail byte", Some(rawlen + 1)),
+                ("u64::MAX", Some(u64::MAX)),
+                ("truncated payload", None),
+            ];
+            for (case, lie) in lies {
+                reseal(&path, &good, |b| match lie {
+                    Some(len) => b[16..24].copy_from_slice(&len.to_le_bytes()),
+                    None => b.truncate(b.len() - 3),
+                });
+                match s.get(5) {
+                    // u64::MAX is refused before the decoder runs.
+                    Err(StoreError::Corrupt { what, .. }) => assert!(
+                        what == "raw length"
+                            || (what == "compressed payload" && lie != Some(u64::MAX)),
+                        "{} {case}: {what}",
+                        codec.name()
+                    ),
+                    other => panic!("{} {case}: expected corrupt, got {other:?}", codec.name()),
+                }
+            }
+            reseal(&path, &good, |_| {});
+            assert_eq!(s.get(5).unwrap(), payload);
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn retired_zeta_tags_are_refused() {
+        let dir = tmpdir("tags");
+        let s = FileShardStore::with_codec(&dir, Some(CompressionCodec::Zeta(3)));
+        s.put(5, b"payload bytes here, long enough to damage")
+            .unwrap();
+        let path = dir.join("shard-000005.grsh");
+        let good = fs::read(&path).unwrap();
+        assert_eq!(good[24], 0x13, "zeta3 frames carry tag 0x13");
+        // Tags 1..=8 named ζ_k in the old bit order: refused, never
+        // decoded, even under a valid checksum.
+        for old in 1..=8u8 {
+            reseal(&path, &good, |b| b[24] = old);
+            assert!(
+                matches!(
+                    s.get(5),
+                    Err(StoreError::Corrupt {
+                        what: "codec tag",
+                        ..
+                    })
+                ),
+                "tag {old}"
+            );
+        }
+        for k in 1..=8 {
+            let codec = CompressionCodec::Zeta(k);
+            assert_eq!(codec_from_tag(codec_tag(codec)), Some(codec));
+        }
+        assert_eq!(codec_tag(CompressionCodec::Varint), 0);
+        assert_eq!(codec_from_tag(0), Some(CompressionCodec::Varint));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -40,11 +40,28 @@
 //! interval's compressed extent is an O(1) subtraction — the memory
 //! governor plans transfers in compressed bytes without decoding anything.
 //!
+//! # Decoding
+//!
+//! The stream is little-endian: bit `i` is bit `i % 64` of word `i / 64`,
+//! and every field is stored low bit first. [`Decoder`] reads whole codes
+//! out of a 64-bit peek at the stream (zero past its end). A ζ_k
+//! code is `h` zeros and a one — the unary prefix, one `trailing_zeros` —
+//! then its minimal-binary suffix as at most two fields: the `s - 1` high
+//! bits, and one low bit only when those reach the threshold. A varint is
+//! found by the first byte of the peek with a clear top bit. Each codec
+//! also has a constant [`TABLE_BITS`]-bit lookup table that decodes any
+//! code of at most that many bits with one load; longer codes fall back to
+//! the word-level path. Code lengths are the textbook ones, so byte counts
+//! do not depend on the bit order (see `docs/COMPRESSION.md`).
+//!
 //! Decoding is lazy and allocation-free: [`TopoView`] hands the host
 //! kernels an iterator per row that walks the bit stream in place, so the
 //! Serial/Dense/Sparse phase shapes read through the view without ever
 //! materializing a whole shard. All variants yield entries in exactly the
 //! raw layout's order, which is what keeps compressed runs bit-identical.
+
+use std::fmt;
+use std::sync::OnceLock;
 
 use crate::csr::{Adjacency, GraphLayout};
 use crate::edgelist::VertexId;
@@ -67,6 +84,14 @@ impl Default for CompressionCodec {
         CompressionCodec::Zeta(3)
     }
 }
+
+/// Every value a codec writes is below this bound. Gaps, edge ids and
+/// zig-zagged word deltas stay below 2^34; the bound keeps every ζ_k code
+/// (`k <= 8`) and every varint inside one 64-bit peek.
+pub const CODE_LIMIT: u64 = 1 << 48;
+
+/// Largest ζ shrinkage parameter; [`CompressionCodec::Zeta`] clamps to it.
+const MAX_K: u32 = 8;
 
 impl CompressionCodec {
     /// Stable short name (decision records, CLI flags, run reports).
@@ -93,97 +118,79 @@ impl CompressionCodec {
         }
     }
 
-    /// Shrinkage parameter `k` (ζ only), clamped to a sane range.
+    /// Shrinkage parameter `k` (ζ only, 0 for varint), clamped to a sane
+    /// range.
     fn k(&self) -> u32 {
         match self {
             CompressionCodec::Varint => 0,
-            CompressionCodec::Zeta(k) => (*k).clamp(1, 8),
+            CompressionCodec::Zeta(k) => (*k).clamp(1, MAX_K),
         }
     }
 
-    /// Append the non-negative integer `x` to the bit stream.
+    /// Append the integer `x < CODE_LIMIT` to the bit stream.
     pub fn write(&self, w: &mut BitWriter, x: u64) {
+        assert!(x < CODE_LIMIT, "{x} is outside the codec domain");
         match self {
             CompressionCodec::Varint => {
-                let mut x = x;
+                // LEB128 bytes, low group first, written as one field.
+                let (mut field, mut bits, mut rest) = (0u64, 0u32, x);
                 loop {
-                    let byte = x & 0x7f;
-                    x >>= 7;
-                    if x == 0 {
-                        w.write_bits(byte, 8);
+                    let group = rest & 0x7f;
+                    rest >>= 7;
+                    let more = if rest == 0 { 0 } else { 0x80 };
+                    field |= (group | more) << bits;
+                    bits += 8;
+                    if rest == 0 {
                         break;
                     }
-                    w.write_bits(byte | 0x80, 8);
                 }
+                w.write_bits(field, bits);
             }
             CompressionCodec::Zeta(_) => {
                 // ζ_k encodes positive integers; shift the domain by one so
                 // zero gaps (multi-edges) stay representable.
                 let n = x + 1;
                 let k = self.k();
-                let h = (63 - n.leading_zeros() as u64) / k as u64;
-                debug_assert!(n >= 1u64 << (h * k as u64));
+                let h = (63 - n.leading_zeros()) / k;
                 // Unary prefix: h zeros then a one.
-                for _ in 0..h {
-                    w.write_bits(0, 1);
-                }
-                w.write_bits(1, 1);
+                w.write_bits(1 << h, h + 1);
                 // Minimal binary of n - 2^(hk) over an interval of size
                 // 2^(hk) * (2^k - 1).
-                let lo = 1u64 << (h * k as u64);
-                let z = (lo << k) - lo;
-                write_minimal_binary(w, n - lo, z);
+                let lo = 1u64 << (h * k);
+                write_minimal_binary(w, n - lo, (lo << k) - lo);
             }
         }
     }
 
-    /// Read one integer previously written with [`CompressionCodec::write`].
-    pub fn read(&self, r: &mut BitReader<'_>) -> u64 {
-        match self {
-            CompressionCodec::Varint => {
-                let mut x = 0u64;
-                let mut shift = 0u32;
-                loop {
-                    let byte = r.read_bits(8);
-                    x |= (byte & 0x7f) << shift;
-                    if byte & 0x80 == 0 {
-                        return x;
-                    }
-                    shift += 7;
-                }
-            }
-            CompressionCodec::Zeta(_) => {
-                let k = self.k();
-                let mut h = 0u64;
-                while r.read_bits(1) == 0 {
-                    h += 1;
-                }
-                let lo = 1u64 << (h * k as u64);
-                let z = (lo << k) - lo;
-                lo + read_minimal_binary(r, z) - 1
-            }
-        }
+    /// The word-level decoder for this codec.
+    pub fn decoder(&self) -> Decoder {
+        Decoder::new(self.k())
     }
 }
 
-/// Minimal binary code of `m` over `[0, z)`: values below the threshold
-/// take `ceil(log2 z) - 1` bits, the rest the full width. Bits go out
-/// MSB-first — the decoder must see high bits before deciding whether a
-/// final low bit follows.
+/// Width `s = ceil(log2 z)` and threshold `t = 2^s - z` of the minimal
+/// binary code over `[0, z)`, `z >= 2`.
+fn minimal_binary_shape(z: u64) -> (u32, u64) {
+    let s = 64 - (z - 1).leading_zeros();
+    (s, (1u64 << s) - z)
+}
+
+/// Minimal binary code of `m` over `[0, z)`. Values below the threshold
+/// `t` are the `s - 1`-bit field `m`. The rest take `s` bits: `v = m + t`
+/// stored as the field `v >> 1` followed by the bit `v & 1`. Because
+/// `v >> 1 >= t` exactly when `m >= t`, a decoder reads the `s - 1`-bit
+/// field first and knows from it whether the low bit follows.
 fn write_minimal_binary(w: &mut BitWriter, m: u64, z: u64) {
     debug_assert!(m < z);
     if z <= 1 {
         return; // single-value interval: zero bits
     }
-    let s = 64 - (z - 1).leading_zeros(); // ceil(log2 z)
-    let threshold = (1u64 << s) - z;
-    let (value, n) = if m < threshold {
-        (m, s - 1)
+    let (s, t) = minimal_binary_shape(z);
+    if m < t {
+        w.write_bits(m, s - 1);
     } else {
-        (m + threshold, s)
-    };
-    for i in (0..n).rev() {
-        w.write_bits((value >> i) & 1, 1);
+        let v = m + t;
+        w.write_bits((v >> 1) | ((v & 1) << (s - 1)), s);
     }
 }
 
@@ -191,17 +198,111 @@ fn read_minimal_binary(r: &mut BitReader<'_>, z: u64) -> u64 {
     if z <= 1 {
         return 0;
     }
-    let s = 64 - (z - 1).leading_zeros();
-    let threshold = (1u64 << s) - z;
-    let mut m = 0u64;
-    for _ in 0..s - 1 {
-        m = (m << 1) | r.read_bits(1);
-    }
-    if m < threshold {
-        m
+    let (s, t) = minimal_binary_shape(z);
+    let bits = r.peek();
+    let high = bits & ((1u64 << (s - 1)) - 1);
+    if high < t {
+        r.skip(s - 1);
+        high
     } else {
-        ((m << 1) | r.read_bits(1)) - threshold
+        r.skip(s);
+        ((high << 1) | ((bits >> (s - 1)) & 1)) - t
     }
+}
+
+/// Lookahead, in bits, of every codec's decode table.
+pub const TABLE_BITS: u32 = 12;
+
+/// One codec's decode table: entry `p` is `value << 4 | length` for the
+/// code that the next [`TABLE_BITS`] stream bits `p` start with, or 0
+/// when that code is longer (no code is 0 bits long).
+type DecodeTable = [u16; 1 << TABLE_BITS];
+
+/// Word-level decoder for one codec: one table load for codes of at most
+/// [`TABLE_BITS`] bits, the word-level path for longer ones. Copy it once
+/// per stream; the tables are built on first use and shared.
+#[derive(Clone, Copy)]
+pub struct Decoder {
+    /// ζ shrinkage parameter, or 0 for varint.
+    k: u32,
+    table: &'static DecodeTable,
+}
+
+impl fmt::Debug for Decoder {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Decoder").field("k", &self.k).finish()
+    }
+}
+
+impl Decoder {
+    fn new(k: u32) -> Decoder {
+        static TABLES: OnceLock<Vec<DecodeTable>> = OnceLock::new();
+        let tables = TABLES.get_or_init(|| (0..=MAX_K).map(build_table).collect());
+        Decoder {
+            k,
+            table: &tables[k as usize],
+        }
+    }
+
+    /// Read one integer written by [`CompressionCodec::write`]. Never
+    /// panics: a bit pattern no writer produces (including the zero
+    /// padding past the stream end) moves the reader far past the end of
+    /// its stream, where [`BitReader::bit_pos`] shows it.
+    #[inline]
+    pub fn read(&self, r: &mut BitReader<'_>) -> u64 {
+        let word = r.peek();
+        let entry = self.table[(word & ((1 << TABLE_BITS) - 1)) as usize];
+        if entry != 0 {
+            r.skip(u32::from(entry & 0xf));
+            return u64::from(entry >> 4);
+        }
+        read_long(self.k, r, word)
+    }
+}
+
+/// The word-level path: decode the code starting at `r`, whose next 64
+/// bits are `word`, under ζ_k (`k >= 1`) or varint (`k == 0`).
+fn read_long(k: u32, r: &mut BitReader<'_>, word: u64) -> u64 {
+    if k == 0 {
+        // The code ends with the first byte whose top bit is clear.
+        let stop = !word & 0x8080_8080_8080_8080;
+        if stop == 0 {
+            r.invalidate();
+            return 0;
+        }
+        let bytes = stop.trailing_zeros() / 8 + 1;
+        r.skip(8 * bytes);
+        (0..bytes).fold(0, |x, i| x | (((word >> (8 * i)) & 0x7f) << (7 * i)))
+    } else {
+        let h = word.trailing_zeros();
+        // Past 2^63 the suffix would not fit one peek; writers stop far
+        // below (CODE_LIMIT).
+        if (h + 1) * k > 63 {
+            r.invalidate();
+            return 0;
+        }
+        r.skip(h + 1);
+        let lo = 1u64 << (h * k);
+        lo - 1 + read_minimal_binary(r, (lo << k) - lo)
+    }
+}
+
+/// Decode every [`TABLE_BITS`]-bit pattern with the word-level path and
+/// keep the codes that fit, so table and fallback agree by construction.
+fn build_table(k: u32) -> DecodeTable {
+    let mut table = [0u16; 1 << TABLE_BITS];
+    for (pattern, entry) in table.iter_mut().enumerate() {
+        let word = [pattern as u64];
+        let mut r = BitReader::new(&word, 0);
+        let x = read_long(k, &mut r, word[0]);
+        let len = r.bit_pos();
+        if len <= u64::from(TABLE_BITS) {
+            // A code of at most 12 bits carries a value below 2^12.
+            assert!(len > 0 && x < 1 << TABLE_BITS);
+            *entry = ((x << 4) | len) as u16;
+        }
+    }
+    table
 }
 
 /// Zig-zag mapping of a signed offset into the non-negative code domain.
@@ -232,10 +333,10 @@ impl BitWriter {
         BitWriter::default()
     }
 
-    /// Append the low `n` bits of `value` (`n <= 57` per call is all the
-    /// codecs need; values are masked defensively).
+    /// Append the low `n < 64` bits of `value` (higher bits are masked
+    /// off).
     pub fn write_bits(&mut self, value: u64, n: u32) {
-        debug_assert!(n <= 57);
+        debug_assert!(n < 64);
         if n == 0 {
             return;
         }
@@ -262,6 +363,11 @@ impl BitWriter {
     }
 }
 
+/// Where a reader jumps when it meets a bit pattern no writer produces:
+/// past the end of any stream, so a caller checking [`BitReader::bit_pos`]
+/// against its stream length sees an overrun.
+const INVALID_POS: u64 = u64::MAX / 2;
+
 /// Cursor over a [`BitWriter`]'s word stream.
 pub struct BitReader<'a> {
     words: &'a [u64],
@@ -276,20 +382,35 @@ impl<'a> BitReader<'a> {
         }
     }
 
-    /// Read `n <= 57` bits, advancing the cursor.
-    pub fn read_bits(&mut self, n: u32) -> u64 {
-        debug_assert!(n <= 57);
-        if n == 0 {
-            return 0;
-        }
+    /// The next 64 bits, stream order from the low bit, zero past the end
+    /// of the words. Does not advance.
+    #[inline]
+    fn peek(&self) -> u64 {
         let word = (self.pos / 64) as usize;
         let off = (self.pos % 64) as u32;
-        let mut v = self.words[word] >> off;
-        if off + n > 64 {
-            v |= self.words[word + 1] << (64 - off);
-        }
-        self.pos += n as u64;
-        v & ((1u64 << n) - 1)
+        let lo = self.words.get(word).copied().unwrap_or(0);
+        let hi = self.words.get(word + 1).copied().unwrap_or(0);
+        // `hi << (64 - off)`, written so that off = 0 shifts hi out
+        // instead of overflowing the shift.
+        (lo >> off) | ((hi << 1) << (63 - off))
+    }
+
+    /// Advance the cursor by `n` bits.
+    #[inline]
+    fn skip(&mut self, n: u32) {
+        self.pos += u64::from(n);
+    }
+
+    /// Read `n < 64` bits, advancing the cursor.
+    pub fn read_bits(&mut self, n: u32) -> u64 {
+        debug_assert!(n < 64);
+        let v = self.peek() & ((1u64 << n) - 1);
+        self.skip(n);
+        v
+    }
+
+    fn invalidate(&mut self) {
+        self.pos = INVALID_POS;
     }
 
     /// Current bit position.
@@ -308,7 +429,7 @@ pub struct CompressedAdjacency {
     /// `bit_offsets[v]..bit_offsets[v+1]` is vertex `v`'s row in `bits`.
     pub bit_offsets: Vec<u64>,
     bits: Vec<u64>,
-    codec: CompressionCodec,
+    decoder: Decoder,
     /// CSR rows interleave explicit canonical edge ids; CSC ids are
     /// implicit (canonical order *is* CSC position).
     explicit_eids: bool,
@@ -345,7 +466,7 @@ impl CompressedAdjacency {
         CompressedAdjacency {
             bit_offsets,
             bits: w.finish(),
-            codec,
+            decoder: codec.decoder(),
             explicit_eids,
         }
     }
@@ -366,14 +487,19 @@ impl CompressedAdjacency {
     pub fn row(&self, v: VertexId, count: u64, eid_base: u64) -> CompressedRowIter<'_> {
         CompressedRowIter {
             reader: BitReader::new(&self.bits, self.bit_offsets[v as usize]),
-            codec: self.codec,
+            decoder: self.decoder,
             explicit_eids: self.explicit_eids,
             v,
             remaining: count,
             first: true,
             prev_nbr: 0,
-            prev_eid: 0,
-            implicit_eid: eid_base,
+            // One before the first id, wrapping: CSR rows code their
+            // first id absolutely, CSC ids count up from `eid_base`.
+            prev_eid: if self.explicit_eids {
+                u32::MAX
+            } else {
+                (eid_base as u32).wrapping_sub(1)
+            },
         }
     }
 }
@@ -382,14 +508,15 @@ impl CompressedAdjacency {
 /// exactly the raw layout's order.
 pub struct CompressedRowIter<'a> {
     reader: BitReader<'a>,
-    codec: CompressionCodec,
+    decoder: Decoder,
     explicit_eids: bool,
     v: VertexId,
     remaining: u64,
     first: bool,
     prev_nbr: u32,
+    /// The previous canonical id; the next is one more, plus the coded
+    /// gap on CSR rows.
     prev_eid: u32,
-    implicit_eid: u64,
 }
 
 impl Iterator for CompressedRowIter<'_> {
@@ -400,25 +527,17 @@ impl Iterator for CompressedRowIter<'_> {
             return None;
         }
         self.remaining -= 1;
-        let nbr;
-        let eid;
-        if self.first {
+        let code = self.decoder.read(&mut self.reader);
+        let nbr = if self.first {
             self.first = false;
-            nbr = (self.v as i64 + unzigzag(self.codec.read(&mut self.reader))) as u32;
-            eid = if self.explicit_eids {
-                self.codec.read(&mut self.reader) as u32
-            } else {
-                self.implicit_eid as u32
-            };
+            (self.v as i64 + unzigzag(code)) as u32
         } else {
-            nbr = self.prev_nbr + self.codec.read(&mut self.reader) as u32;
-            eid = if self.explicit_eids {
-                self.prev_eid + 1 + self.codec.read(&mut self.reader) as u32
-            } else {
-                self.implicit_eid as u32
-            };
+            self.prev_nbr + code as u32
+        };
+        let mut eid = self.prev_eid.wrapping_add(1);
+        if self.explicit_eids {
+            eid = eid.wrapping_add(self.decoder.read(&mut self.reader) as u32);
         }
-        self.implicit_eid += 1;
         self.prev_nbr = nbr;
         self.prev_eid = eid;
         Some((nbr, eid))
@@ -627,8 +746,9 @@ mod tests {
             }
             let words = w.finish();
             let mut r = BitReader::new(&words, 0);
+            let dec = codec.decoder();
             for &v in &values {
-                assert_eq!(codec.read(&mut r), v, "{} value {v}", codec.name());
+                assert_eq!(dec.read(&mut r), v, "{} value {v}", codec.name());
             }
         }
     }
