@@ -17,14 +17,12 @@ use gr_observe::{Decision, MetricsRegistry, Observer, SpanEvent, WallProfiler};
 use gr_sim::{cpu_time, DeviceFault, HostConfig, KernelSpec, Platform, SimDuration, StreamId};
 
 use crate::api::GasProgram;
-use crate::checkpoint::Checkpoint;
 use crate::engine::{RunResult, WarmStart};
 use crate::options::Options;
 use crate::phases::ShardWork;
 use crate::recovery::EngineError;
 use crate::sizes::{PartitionPlan, SizeModel};
-use crate::snapshot::{self, CheckpointPolicy};
-use crate::snapshot_delta::{self, RestoredFromDisk};
+use crate::snapshot::{self, CheckpointPolicy, Restored};
 use crate::stats::RunStats;
 use crate::storage::StorageCtx;
 use crate::store::{shard_payload, ShardStoreHandle};
@@ -32,7 +30,7 @@ use crate::store::{shard_payload, ShardStoreHandle};
 use super::compress::{ShardCompression, RAW_TOPO_ENTRY_BYTES};
 use super::compute::{host_work, ComputeSpecs};
 use super::device::{Abort, DeviceCtx};
-use super::durable::{DurableConfig, DurableWriter};
+use super::durable::DurableWriter;
 use super::host::HostState;
 use super::movement::{in_bufs_for, out_bufs_for, Buf, BufSet, Movement};
 use super::plan;
@@ -142,7 +140,7 @@ impl<'a, P: GasProgram> Runner<'a, P> {
         sizes: SizeModel,
         plan: PartitionPlan,
         warm: Option<WarmStart<P>>,
-        restored: Option<RestoredFromDisk<P>>,
+        restored: Option<Restored<P>>,
         observer: Observer,
         wall: WallProfiler,
         comp: Option<Arc<ShardCompression>>,
@@ -240,24 +238,19 @@ impl<'a, P: GasProgram> Runner<'a, P> {
             };
         }
 
-        let (restored_state, restored_bytes, restored_chain) = match restored {
-            Some(r) => (Some(r.state), r.bytes, r.delta),
-            None => (None, 0, None),
-        };
-        let restored_boundary = restored_state.as_ref().map(|r| r.iterations_completed());
-        let host = match restored_state {
+        let (host, restored) = match restored {
             Some(r) => {
-                let b = r.iterations_completed();
+                let b = r.host.iterations.len() as u32;
                 ctx.metrics.inc("engine.checkpoint_restores", 1);
                 observer.decision(|| Decision::CheckpointRestore {
                     iteration: b,
-                    bytes: restored_bytes,
+                    bytes: r.bytes,
                 });
-                HostState::restored(r)
+                (r.host, Some((b, r.delta)))
             }
             None => match warm {
-                Some(w) => HostState::warm(program, layout, w),
-                None => HostState::cold(program, layout),
+                Some(w) => (HostState::warm(program, layout, w), None),
+                None => (HostState::cold(program, layout), None),
             },
         };
 
@@ -334,19 +327,16 @@ impl<'a, P: GasProgram> Runner<'a, P> {
         // is computed once up front. A resume seeds the writer's schedule
         // (and delta dirty chain) so it continues exactly where the killed
         // run left off.
-        let durable_cfg = DurableConfig::from_policy(&opts.checkpoint_policy);
-        let ckpt_off = matches!(opts.checkpoint_policy, CheckpointPolicy::Off);
-        let fingerprint = (durable_cfg.is_some() || restored_boundary.is_some() || any_spilled)
+        let policy = &opts.checkpoint_policy;
+        let ckpt_off = matches!(policy, CheckpointPolicy::Off);
+        let fingerprint = (policy.is_durable() || restored.is_some() || any_spilled)
             .then(|| snapshot::fingerprint_for(program, layout));
-        let durable = durable_cfg.map(|cfg| {
-            let fp = fingerprint
-                .clone()
-                .expect("fingerprint computed whenever durable is armed");
-            let mut w = DurableWriter::new(cfg, fp, layout.num_vertices(), opts.shard_compression);
-            if let Some(b) = restored_boundary {
-                w.note_restored(b, restored_chain);
+        let durable = fingerprint.as_ref().and_then(|fp| {
+            let mut w = DurableWriter::from_policy(policy, fp, opts.shard_compression)?;
+            if let Some((b, chain)) = restored {
+                w.note_restored(b, chain);
             }
-            w
+            Some(w)
         });
         let specs = ComputeSpecs::new(sizes, opts, layout, &plan.shards, &wall);
 
@@ -669,8 +659,7 @@ impl<'a, P: GasProgram> Runner<'a, P> {
             .fingerprint
             .as_ref()
             .expect("fingerprint computed whenever durable is armed");
-        let r = snapshot_delta::load_newest::<P>(w.dir(), fp)?;
-        self.host = HostState::restored(r.state);
+        self.host = snapshot::load_newest::<P>(w.dir(), fp)?.host;
         self.in_cached.fill(false);
         self.out_cached.fill(false);
         Ok(())
@@ -721,13 +710,13 @@ impl<'a, P: GasProgram> Runner<'a, P> {
         Ok(())
     }
 
-    fn take_checkpoint(&mut self) -> Checkpoint<P> {
+    fn take_checkpoint(&mut self) -> HostState<P> {
         self.ctx.metrics.inc("engine.checkpoints", 1);
-        self.host.checkpoint()
+        self.host.clone()
     }
 
-    fn restore(&mut self, c: &Checkpoint<P>) {
-        self.host.restore(c);
+    fn restore(&mut self, c: &HostState<P>) {
+        self.host = c.clone();
         // The faulted attempt may have moved only part of a shard: drop
         // all residency claims so the replay re-copies what it touches.
         self.in_cached.fill(false);

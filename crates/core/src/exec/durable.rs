@@ -2,10 +2,9 @@
 //! multi-GPU orchestrator.
 //!
 //! `DurableWriter` owns the full-vs-delta schedule, the dirty-vertex
-//! accumulator delta snapshots are keyed off, and the container layers a
-//! snapshot passes through on its way to disk: the inner GRCK/GRCD state
-//! blob, an optional GRCM multi-GPU wrapper (device count + placement
-//! map), and an optional GRCZ compression wrapper. All writes go through
+//! accumulator delta snapshots are keyed off, and what each container
+//! records beyond the host state: the body codec (single-GPU runs reuse
+//! the shard codec) and the multi-GPU placement. All writes go through
 //! the fault-hardened storage plane ([`crate::storage`]), so injected
 //! checkpoint-write faults are retried and, after exhaustion, degrade to
 //! a skipped snapshot instead of a failed run.
@@ -21,56 +20,26 @@ use gr_observe::{Decision, MetricsRegistry, Observer};
 use crate::api::GasProgram;
 use crate::exec::host::HostState;
 use crate::recovery::EngineError;
-use crate::snapshot::{self, CheckpointPolicy, Fingerprint};
-use crate::snapshot_delta::{self, DeltaChain};
-use crate::snapshot_multi;
+use crate::snapshot::{self, CheckpointPolicy, DeltaChain, Fingerprint, Kind, Placement};
 use crate::storage::StorageCtx;
-
-/// The durable slice of a [`CheckpointPolicy`]: where, how often, and
-/// whether boundaries between full snapshots write deltas.
-pub(crate) struct DurableConfig {
-    pub(crate) dir: PathBuf,
-    pub(crate) every: u32,
-    /// `Some(k)`: delta mode — promote every `k`-th durable boundary to a
-    /// full snapshot, write deltas in between. `None`: every snapshot is
-    /// full.
-    pub(crate) full_every: Option<u32>,
-}
-
-impl DurableConfig {
-    pub(crate) fn from_policy(p: &CheckpointPolicy) -> Option<Self> {
-        match p {
-            CheckpointPolicy::Durable { dir, every } => Some(DurableConfig {
-                dir: dir.clone(),
-                every: (*every).max(1),
-                full_every: None,
-            }),
-            CheckpointPolicy::DurableDelta {
-                dir,
-                every,
-                full_every,
-            } => Some(DurableConfig {
-                dir: dir.clone(),
-                every: (*every).max(1),
-                full_every: Some((*full_every).max(1)),
-            }),
-            _ => None,
-        }
-    }
-}
 
 /// Writes versioned, checksummed snapshots at BSP iteration boundaries,
 /// choosing full vs delta deterministically — a resumed run makes the
 /// same choices at the same boundaries as the uninterrupted one.
 pub(crate) struct DurableWriter {
-    cfg: DurableConfig,
+    dir: PathBuf,
+    every: u32,
+    /// `Some(k)`: delta mode — promote every `k`-th durable boundary to a
+    /// full snapshot, write deltas in between. `None`: every snapshot is
+    /// full.
+    full_every: Option<u32>,
     fp: Fingerprint,
-    /// Snapshot payload compression (single-GPU runs reuse the shard
-    /// codec; multi-GPU snapshots stay uncompressed).
+    /// Snapshot body compression (single-GPU runs reuse the shard codec;
+    /// multi-GPU snapshots stay uncompressed).
     codec: Option<CompressionCodec>,
-    /// `Some`: wrap snapshots in a GRCM container recording the cluster
-    /// context (multi-GPU runs only).
-    placement: Option<(u32, Vec<usize>)>,
+    /// `Some`: record the cluster context in every snapshot (multi-GPU
+    /// runs only).
+    placement: Option<Placement>,
     /// Boundary the newest on-disk snapshot covers (write dedupe and the
     /// driver's in-memory-checkpoint elision).
     durable_at: Option<u32>,
@@ -80,25 +49,37 @@ pub(crate) struct DurableWriter {
 }
 
 impl DurableWriter {
-    pub(crate) fn new(
-        cfg: DurableConfig,
-        fp: Fingerprint,
-        num_vertices: u32,
+    /// The writer a durable [`CheckpointPolicy`] arms; `None` for the
+    /// in-memory policies.
+    pub(crate) fn from_policy(
+        policy: &CheckpointPolicy,
+        fp: &Fingerprint,
         codec: Option<CompressionCodec>,
-    ) -> Self {
-        DurableWriter {
-            cfg,
-            fp,
+    ) -> Option<Self> {
+        let (dir, every, full_every) = match policy {
+            CheckpointPolicy::Durable { dir, every } => (dir, every, None),
+            CheckpointPolicy::DurableDelta {
+                dir,
+                every,
+                full_every,
+            } => (dir, every, Some((*full_every).max(1))),
+            _ => return None,
+        };
+        Some(DurableWriter {
+            dir: dir.clone(),
+            every: (*every).max(1),
+            full_every,
+            fp: fp.clone(),
             codec,
             placement: None,
             durable_at: None,
-            dirty: Bitmap::new(num_vertices),
+            dirty: Bitmap::new(fp.vertices),
             last_full_at: None,
-        }
+        })
     }
 
     pub(crate) fn dir(&self) -> &Path {
-        &self.cfg.dir
+        &self.dir
     }
 
     /// Whether the newest on-disk snapshot covers exactly `boundary` (the
@@ -110,7 +91,10 @@ impl DurableWriter {
     /// Record the cluster context to stamp into every snapshot (multi-GPU
     /// orchestrator only; refresh after redistribution).
     pub(crate) fn set_placement(&mut self, num_gpus: u32, owners: &[usize]) {
-        self.placement = Some((num_gpus, owners.to_vec()));
+        self.placement = Some(Placement {
+            num_gpus,
+            owners: owners.iter().map(|&o| o as u32).collect(),
+        });
     }
 
     /// A resume restored state at `boundary`; continue the schedule (and,
@@ -132,7 +116,7 @@ impl DurableWriter {
     /// replays recompute the identical changed set, and OR is idempotent,
     /// so replays never inflate the dirty set).
     pub(crate) fn record_iteration(&mut self, changed: &Bitmap) {
-        if self.cfg.full_every.is_some() {
+        if self.full_every.is_some() {
             self.dirty.or_assign(changed);
         }
     }
@@ -151,54 +135,22 @@ impl DurableWriter {
         metrics: &mut MetricsRegistry,
     ) -> Result<(), EngineError> {
         let boundary = host.iterations.len() as u32;
-        if self.durable_at == Some(boundary) || (!force && !boundary.is_multiple_of(self.cfg.every))
-        {
+        if self.durable_at == Some(boundary) || (!force && !boundary.is_multiple_of(self.every)) {
             return Ok(());
         }
-        let full = match (self.cfg.full_every, self.last_full_at) {
+        let full = match (self.full_every, self.last_full_at) {
             (None, _) | (Some(_), None) => true,
-            (Some(fe), Some(last)) => boundary.saturating_sub(last) >= self.cfg.every * fe,
+            (Some(fe), Some(last)) => boundary.saturating_sub(last) >= self.every * fe,
         };
-        let inner = if full {
-            snapshot::encode_snapshot::<P>(
-                &self.fp,
-                &host.vertex_values,
-                &host.edge_values,
-                &host.gather_temp,
-                &host.frontier,
-                &host.changed,
-                &host.next_frontier,
-                &host.iterations,
-            )
-        } else {
-            snapshot_delta::encode_delta::<P>(
-                &self.fp,
-                self.last_full_at.expect("delta implies a prior full"),
-                &self.dirty,
-                &host.vertex_values,
-                &host.edge_values,
-                &host.gather_temp,
-                &host.frontier,
-                &host.changed,
-                &host.next_frontier,
-                &host.iterations,
-            )
-        };
-        let mut framed = inner;
-        if let Some((ngpu, owners)) = &self.placement {
-            framed = snapshot_multi::wrap_multi(*ngpu, owners, &framed);
-        }
-        let raw_len = framed.len() as u64;
-        let framed = match self.codec {
-            Some(codec) => snapshot_delta::wrap_compressed(codec, &framed),
-            None => framed,
-        };
-        let name = if full {
-            snapshot::snapshot_name(boundary)
-        } else {
-            snapshot_delta::delta_name(boundary)
-        };
-        let Some(written) = storage.snapshot_write(&self.cfg.dir, &name, boundary, &framed)? else {
+        let kind = if full { Kind::Full } else { Kind::Delta };
+        let delta = (!full).then(|| {
+            let base = self.last_full_at.expect("delta implies a prior full");
+            (base, &self.dirty)
+        });
+        let (bytes, raw_len) =
+            snapshot::encode(&self.fp, host, delta, self.placement.as_ref(), self.codec);
+        let name = snapshot::file_name(kind, boundary);
+        let Some(written) = storage.snapshot_write(&self.dir, &name, boundary, &bytes)? else {
             // Skipped after retry exhaustion: the previous snapshot still
             // covers its boundary; the schedule state is untouched.
             return Ok(());
@@ -210,16 +162,12 @@ impl DurableWriter {
             metrics.inc("engine.checkpoint_full_bytes", written);
             self.last_full_at = Some(boundary);
             self.dirty.clear_all();
-            snapshot::prune_old(&self.cfg.dir)?;
-            if self.cfg.full_every.is_some() {
-                // Everything the new full covers is redundant.
-                snapshot_delta::prune_deltas(&self.cfg.dir, Some(boundary))?;
-            }
         } else {
             metrics.inc("engine.checkpoint_delta_writes", 1);
             metrics.inc("engine.checkpoint_delta_bytes", written);
-            snapshot_delta::prune_deltas(&self.cfg.dir, None)?;
         }
+        // A new full makes every delta it covers redundant.
+        snapshot::prune(&self.dir, full.then_some(boundary))?;
         observer.decision(|| Decision::CheckpointWrite {
             iteration: boundary,
             bytes: written,
@@ -251,12 +199,8 @@ mod tests {
         let layout = GraphLayout::build(&gen::uniform(64, 256, 3).symmetrize());
         let fp = fingerprint_for(&Cc, &layout);
         let dir = tmpdir("cadence");
-        let cfg = DurableConfig {
-            dir: dir.clone(),
-            every: 1,
-            full_every: Some(3),
-        };
-        let mut w = DurableWriter::new(cfg, fp.clone(), 64, None);
+        let policy = CheckpointPolicy::durable_delta(&dir, 1, 3);
+        let mut w = DurableWriter::from_policy(&policy, &fp, None).unwrap();
         let mut storage = StorageCtx::new(
             &FaultPlan::none(),
             RecoveryPolicy::default(),
@@ -280,8 +224,8 @@ mod tests {
                 &mut metrics,
             )
             .unwrap();
-            let full = dir.join(snapshot::snapshot_name(b)).exists();
-            let delta = dir.join(snapshot_delta::delta_name(b)).exists();
+            let full = dir.join(snapshot::file_name(Kind::Full, b)).exists();
+            let delta = dir.join(snapshot::file_name(Kind::Delta, b)).exists();
             kinds.push((full, delta));
         }
         assert_eq!(
@@ -297,8 +241,8 @@ mod tests {
                 == metrics.counter("engine.checkpoint_bytes")
         );
         // The full at 3 obsoleted the earlier deltas.
-        assert!(!dir.join(snapshot_delta::delta_name(1)).exists());
-        assert!(!dir.join(snapshot_delta::delta_name(2)).exists());
+        assert!(!dir.join(snapshot::file_name(Kind::Delta, 1)).exists());
+        assert!(!dir.join(snapshot::file_name(Kind::Delta, 2)).exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -307,12 +251,8 @@ mod tests {
         let layout = GraphLayout::build(&gen::uniform(64, 256, 3).symmetrize());
         let fp = fingerprint_for(&Cc, &layout);
         let dir = tmpdir("dedupe");
-        let cfg = DurableConfig {
-            dir: dir.clone(),
-            every: 2,
-            full_every: None,
-        };
-        let mut w = DurableWriter::new(cfg, fp, 64, None);
+        let policy = CheckpointPolicy::durable(&dir, 2);
+        let mut w = DurableWriter::from_policy(&policy, &fp, None).unwrap();
         let mut storage = StorageCtx::new(
             &FaultPlan::none(),
             RecoveryPolicy::default(),

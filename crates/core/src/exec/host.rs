@@ -16,7 +16,6 @@ use gr_observe::profiler::{WALL_ITERATION, WALL_NO_SHARD};
 use gr_observe::{Decision, MetricsRegistry, Observer, WallKey, WallProfiler};
 
 use crate::api::{GasProgram, InitialFrontier};
-use crate::checkpoint::Checkpoint;
 use crate::engine::WarmStart;
 use crate::options::HostKernels;
 use crate::phases::{
@@ -48,6 +47,11 @@ fn phase_key(
     }
 }
 
+/// Everything `compute_iteration` mutates, including the full iteration
+/// trace. One type serves as the live state, the in-memory rollback
+/// checkpoint (a clone taken at the iteration boundary; restoring it
+/// drops the stats of replayed iterations), and what a durable snapshot
+/// encodes and restores.
 pub(crate) struct HostState<P: GasProgram> {
     pub(crate) vertex_values: Vec<P::VertexValue>,
     pub(crate) edge_values: Vec<P::EdgeValue>,
@@ -98,22 +102,6 @@ impl<P: GasProgram> HostState<P> {
             b.set(v);
         }
         Self::with_frontier(program, layout, values, b)
-    }
-
-    /// Restore from a durable snapshot: every field — including the full
-    /// iteration trace — comes back exactly as captured at the boundary,
-    /// so the replayed run's per-iteration report matches an
-    /// uninterrupted oracle's and the final state is bit-identical.
-    pub(crate) fn restored(r: crate::snapshot::RestoredState<P>) -> Self {
-        HostState {
-            vertex_values: r.vertex_values,
-            edge_values: r.edge_values,
-            gather_temp: r.gather_temp,
-            frontier: r.frontier,
-            changed: r.changed,
-            next_frontier: r.next_frontier,
-            iterations: r.trace,
-        }
     }
 
     fn with_frontier(
@@ -404,29 +392,19 @@ impl<P: GasProgram> HostState<P> {
     pub(crate) fn finish_iteration(&mut self) {
         std::mem::swap(&mut self.frontier, &mut self.next_frontier);
     }
+}
 
-    /// Snapshot everything an iteration replay must restore.
-    pub(crate) fn checkpoint(&self) -> Checkpoint<P> {
-        Checkpoint {
+// Manual impl: a derive would demand `P: Clone` of the program itself.
+impl<P: GasProgram> Clone for HostState<P> {
+    fn clone(&self) -> Self {
+        HostState {
             vertex_values: self.vertex_values.clone(),
             edge_values: self.edge_values.clone(),
             gather_temp: self.gather_temp.clone(),
             frontier: self.frontier.clone(),
             changed: self.changed.clone(),
             next_frontier: self.next_frontier.clone(),
-            iterations_len: self.iterations.len(),
+            iterations: self.iterations.clone(),
         }
-    }
-
-    /// Roll state back to a checkpoint (drops stats of replayed
-    /// iterations; residency caches are the caller's to reset).
-    pub(crate) fn restore(&mut self, c: &Checkpoint<P>) {
-        self.vertex_values.clone_from(&c.vertex_values);
-        self.edge_values.clone_from(&c.edge_values);
-        self.gather_temp.clone_from(&c.gather_temp);
-        self.frontier = c.frontier.clone();
-        self.changed = c.changed.clone();
-        self.next_frontier = c.next_frontier.clone();
-        self.iterations.truncate(c.iterations_len);
     }
 }

@@ -21,7 +21,7 @@
 //! accounting over the gap-coded topology (no device state), consumed by
 //! the governor, the movement buffer sets, and the decompress pricing.
 //! [`durable`] sits beside [`driver`]: the durable-checkpoint writer
-//! (full/delta schedule, GRCM/GRCZ framing, fault-hardened writes) shared
+//! (full/delta schedule, codec and placement, fault-hardened writes) shared
 //! by the driver and the multi-GPU orchestrator.
 //!
 //! The multi-GPU orchestrator ([`crate::multi`]) sits beside [`driver`]:

@@ -51,9 +51,9 @@
 
 pub mod api;
 pub mod buffers;
-pub mod checkpoint;
 pub mod engine;
 pub mod exec;
+mod frame;
 pub mod multi;
 pub mod options;
 pub mod phases;
@@ -62,8 +62,6 @@ pub mod report;
 pub mod session;
 pub mod sizes;
 pub mod snapshot;
-pub mod snapshot_delta;
-pub mod snapshot_multi;
 pub mod stats;
 pub mod storage;
 pub mod store;
@@ -72,7 +70,6 @@ pub mod testprog;
 
 pub use api::{GasProgram, InitialFrontier};
 pub use buffers::StagingBuffer;
-pub use checkpoint::Checkpoint;
 pub use engine::{GraphReduce, RunResult, WarmStart};
 pub use gr_observe::{WallProfile, WallProfiler, WallSummary};
 pub use gr_sim::{DeviceFault, DeviceHealth, FaultPlan, IoFault, IoOp};

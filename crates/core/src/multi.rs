@@ -33,9 +33,9 @@
 //! [`MultiGraphReduce::with_checkpoint_policy`] (`Durable` or
 //! `DurableDelta`) and restart a killed run with
 //! [`MultiGraphReduce::resume`]. Because results live in one
-//! host-resident master state, a multi-GPU snapshot is that state
-//! wrapped in a GRCM container recording the device count and shard
-//! placement at capture time; on resume the placement is informational —
+//! host-resident master state, a multi-GPU snapshot is that state plus
+//! the device count and shard placement at capture time, recorded in
+//! the snapshot header; on resume the placement is informational —
 //! the orchestrator re-derives it for the *current* device set (a node
 //! may come back short a GPU) and lets the governor redistribute, so
 //! replay stays bit-identical across device counts. Checkpoint writes
@@ -55,7 +55,7 @@ use crate::api::GasProgram;
 use crate::exec::compute::{activate_kernel_spec, apply_kernel_spec, gather_map_spec};
 use crate::exec::device::{barrier, barrier_observed, Abort, DeviceCtx};
 use crate::exec::driver::roll_back;
-use crate::exec::durable::{DurableConfig, DurableWriter};
+use crate::exec::durable::DurableWriter;
 use crate::exec::host::HostState;
 use crate::exec::plan::emit_plan_decisions;
 use crate::options::HostKernels;
@@ -64,8 +64,7 @@ use crate::phases::ShardWork;
 use crate::recovery::{EngineError, RecoveryPolicy};
 use crate::session::GraphSession;
 use crate::sizes::{PartitionPlan, SizeModel};
-use crate::snapshot::{self, CheckpointPolicy};
-use crate::snapshot_delta::{self, RestoredFromDisk};
+use crate::snapshot::{self, CheckpointPolicy, Placement, Restored};
 use crate::storage::StorageCtx;
 
 /// Multi-GPU run statistics.
@@ -257,11 +256,10 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
 
     /// Arm durable checkpoints ([`CheckpointPolicy::Durable`] or
     /// [`CheckpointPolicy::DurableDelta`]): one versioned, checksummed
-    /// snapshot of the master state — wrapped in a GRCM container
-    /// recording the device count and shard placement — is written
-    /// atomically at iteration boundary 0, every `every` completed
-    /// iterations, and at convergence. Restart a killed run with
-    /// [`MultiGraphReduce::resume`]. The in-memory policies
+    /// snapshot of the master state — its header recording the device
+    /// count and shard placement — is written atomically at iteration
+    /// boundary 0, every `every` completed iterations, and at
+    /// convergence. Restart a killed run with [`MultiGraphReduce::resume`]. The in-memory policies
     /// (`InMemoryOnly`, `Off`) change nothing here: multi-GPU replays
     /// re-emit device timelines from the always-intact host state.
     pub fn with_checkpoint_policy(mut self, policy: CheckpointPolicy) -> Self {
@@ -316,14 +314,13 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
     /// Resume a previously killed (or completed) run from the newest
     /// intact snapshot in `dir`, then execute to convergence.
     ///
-    /// Accepts every snapshot family the single-GPU engine accepts
-    /// (GRCK full, GRCD delta chain, GRCZ compressed), plus the GRCM
-    /// multi container the orchestrator writes. A GRCM placement map is
-    /// honored only when it fits the current device set exactly (same
-    /// width, same shard count); otherwise ownership is re-derived for
-    /// the *current* devices, so a run checkpointed on N GPUs can resume
-    /// on fewer — the governor redistributes the orphaned shards exactly
-    /// as it does after an eviction. Vertex state, per-iteration stats
+    /// Accepts every snapshot the single-GPU engine accepts (full, delta
+    /// chain, coded), plus the placement the orchestrator records. That
+    /// placement is honored only when it fits the current device set
+    /// exactly (same width, same shard count); otherwise ownership is
+    /// re-derived for the *current* devices, so a run checkpointed on N
+    /// GPUs can resume on fewer — the governor redistributes the orphaned
+    /// shards exactly as it does after an eviction. Vertex state, per-iteration stats
     /// and the final fingerprint stay bit-identical to an uninterrupted
     /// run on the resumed device count.
     pub fn resume(
@@ -331,14 +328,11 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
         dir: impl AsRef<std::path::Path>,
     ) -> Result<MultiRunResult<P>, EngineError> {
         let fp = snapshot::fingerprint_for(&self.program, self.session.layout());
-        let restored = snapshot_delta::load_newest::<P>(dir.as_ref(), &fp)?;
+        let restored = snapshot::load_newest::<P>(dir.as_ref(), &fp)?;
         self.run_inner(Some(restored))
     }
 
-    fn run_inner(
-        &self,
-        restored: Option<RestoredFromDisk<P>>,
-    ) -> Result<MultiRunResult<P>, EngineError> {
+    fn run_inner(&self, restored: Option<Restored<P>>) -> Result<MultiRunResult<P>, EngineError> {
         self.wall.set_algorithm(self.program.name());
         let sizes = SizeModel::for_program(&self.program);
         let layout = self.session.layout();
@@ -358,21 +352,8 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
 
         // Shard ownership and device liveness: a lost device is evicted
         // and its shards redistributed round-robin over the survivors.
-        // A resumed run checkpointed at the *same* width restores the
-        // recorded GRCM placement (it may reflect earlier evictions or
-        // governor moves); any width change re-derives round-robin for
-        // the current device set and lets the governor redistribute.
         let recorded = restored.as_ref().and_then(|r| r.placement.as_ref());
-        let mut owners: Vec<usize> = match recorded {
-            Some(p)
-                if p.num_gpus == self.num_gpus
-                    && p.owners.len() == plan.shards.len()
-                    && p.owners.iter().all(|&o| (o as usize) < ngpu) =>
-            {
-                p.owners.iter().map(|&o| o as usize).collect()
-            }
-            _ => (0..plan.shards.len()).map(|i| i % ngpu).collect(),
-        };
+        let mut owners = initial_owners(recorded, self.num_gpus, plan.shards.len());
         let mut alive = vec![true; ngpu];
         let mut evictions = 0u32;
 
@@ -461,31 +442,28 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
         // restored master state; device buffers were already primed by
         // the init upload above (state is replicated, so the upload cost
         // is the same whether the values are cold or restored).
-        let mut checkpoint_restores = 0u64;
-        let mut restored_chain = None;
-        let mut host = match restored {
+        let (mut host, restored) = match restored {
             Some(r) => {
-                let b = r.state.iterations_completed();
-                checkpoint_restores = 1;
-                restored_chain = r.delta;
-                let bytes = r.bytes;
+                let b = r.host.iterations.len() as u32;
                 self.observer.decision(|| Decision::CheckpointRestore {
                     iteration: b,
-                    bytes,
+                    bytes: r.bytes,
                 });
-                HostState::restored(r.state)
+                (r.host, Some((b, r.delta)))
             }
-            None => HostState::<P>::cold(&self.program, layout),
+            None => (HostState::<P>::cold(&self.program, layout), None),
         };
+        let checkpoint_restores = u64::from(restored.is_some());
 
         // Durable checkpoint writer (single-GPU machinery reused whole):
-        // the orchestrator only adds the GRCM placement frame, refreshed
+        // the orchestrator only adds the placement record, refreshed
         // before every write because eviction mutates `owners`.
-        let mut durable = DurableConfig::from_policy(&self.checkpoint_policy).map(|cfg| {
-            let fp = snapshot::fingerprint_for(&self.program, self.session.layout());
-            let mut w = DurableWriter::new(cfg, fp, n, None);
-            if checkpoint_restores > 0 {
-                w.note_restored(host.iterations.len() as u32, restored_chain.take());
+        let policy = &self.checkpoint_policy;
+        let mut durable = policy.is_durable().then(|| {
+            let fp = snapshot::fingerprint_for(&self.program, layout);
+            let mut w = DurableWriter::from_policy(policy, &fp, None).expect("durable policy");
+            if let Some((b, chain)) = restored {
+                w.note_restored(b, chain);
             }
             w
         });
@@ -684,6 +662,21 @@ struct MultiGoverned {
     mem_pressure_events: u64,
     redistributions: u64,
     shard_splits: u64,
+}
+
+/// Starting shard ownership. A resumed run checkpointed at the *same*
+/// width over the same shards restores the recorded placement (it may
+/// reflect earlier evictions or governor moves); anything else — a cold
+/// start, a width change, a different sharding — deals shards
+/// round-robin over the current devices and lets the governor
+/// redistribute.
+fn initial_owners(recorded: Option<&Placement>, num_gpus: u32, shards: usize) -> Vec<usize> {
+    match recorded {
+        Some(p) if p.num_gpus == num_gpus && p.owners.len() == shards => {
+            p.owners.iter().map(|&o| o as usize).collect()
+        }
+        _ => (0..shards).map(|i| i % num_gpus as usize).collect(),
+    }
 }
 
 /// Relieve per-GPU memory pressure at plan time. A device is pressured
@@ -1177,5 +1170,23 @@ mod tests {
             .map(|i| i.frontier_size)
             .collect();
         assert_eq!(s, m);
+    }
+
+    #[test]
+    fn same_width_resume_honours_the_recorded_placement() {
+        // An eviction-era placement: device 1 owns nothing.
+        let recorded = Placement {
+            num_gpus: 3,
+            owners: vec![0, 2, 2, 0, 2],
+        };
+        assert_eq!(
+            initial_owners(Some(&recorded), 3, 5),
+            vec![0, 2, 2, 0, 2],
+            "same width, same shards: honoured"
+        );
+        // Any other width or sharding deals round-robin afresh.
+        assert_eq!(initial_owners(Some(&recorded), 2, 5), vec![0, 1, 0, 1, 0]);
+        assert_eq!(initial_owners(Some(&recorded), 3, 4), vec![0, 1, 2, 0]);
+        assert_eq!(initial_owners(None, 3, 5), vec![0, 1, 2, 0, 1]);
     }
 }

@@ -327,7 +327,7 @@ impl Options {
     }
 
     /// Convenience: spill evicted shards to checksummed files under `dir`
-    /// (a [`FileShardStore`], GRS2-framed through the active codec when
+    /// (a [`FileShardStore`], its frames coded through the active codec when
     /// compression is on).
     pub fn with_spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());

@@ -273,13 +273,13 @@ impl<'q, 'g, P: GasProgram> Query<'q, 'g, P> {
     /// [`GraphReduce::resume`](crate::GraphReduce::resume).
     pub fn resume(self, dir: impl AsRef<std::path::Path>) -> Result<RunResult<P>, EngineError> {
         let fp = crate::snapshot::fingerprint_for(self.program, self.session.layout);
-        let restored = crate::snapshot_delta::load_newest::<P>(dir.as_ref(), &fp)?;
+        let restored = crate::snapshot::load_newest::<P>(dir.as_ref(), &fp)?;
         self.run_inner(Some(restored))
     }
 
     fn run_inner(
         self,
-        restored: Option<crate::snapshot_delta::RestoredFromDisk<P>>,
+        restored: Option<crate::snapshot::Restored<P>>,
     ) -> Result<RunResult<P>, EngineError> {
         let sizes = SizeModel::for_program(self.program);
         let plan = self.session.partition_plan(&sizes)?;

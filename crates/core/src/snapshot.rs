@@ -2,29 +2,34 @@
 //! engine's host-resident master state, written atomically at iteration
 //! boundaries so a killed run can resume from disk.
 //!
-//! The host computes exact results deterministically (see
-//! [`crate::checkpoint`]), so a snapshot of the host master state at a BSP
-//! iteration boundary is a complete resume point: replaying the remaining
-//! iterations converges bit-identically to the uninterrupted run. The
-//! format is fixed-width little-endian ("GRCK" magic, version, algorithm /
-//! graph / state fingerprints, value arrays via [`StateBytes`], frontier
-//! bitmap words, the full iteration trace, trailing FNV-1a checksum) and
-//! every write goes temp-file + rename so a crash mid-write never leaves a
-//! half snapshot under a valid name. See `docs/DURABILITY.md`.
+//! The host computes exact results deterministically, so a snapshot of
+//! the host master state at a BSP iteration boundary is a complete resume
+//! point: replaying the remaining iterations converges bit-identically to
+//! the uninterrupted run. Every snapshot is one container in the shared
+//! [`crate::frame`] layout: a fixed header (kind, fingerprint, `n`, `m`,
+//! iteration count, delta base, placement) and a body of fixed-width
+//! little-endian state via [`StateBytes`] — a full holds every vertex, a
+//! delta the dirty bitmap and the same per-vertex records for the dirty
+//! vertices — optionally coded, under one checksum. See
+//! `docs/DURABILITY.md`.
 
 use std::fmt;
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use gr_graph::{Bitmap, GraphLayout};
+use gr_graph::GraphLayout;
 
 use crate::api::GasProgram;
-use crate::stats::IterationStats;
+use crate::frame::Fnv;
+
+mod container;
+pub(crate) use container::{
+    encode, file_name, load_newest, prune, DeltaChain, Kind, Placement, Restored,
+};
 
 /// Snapshot format version (bump on any layout change; readers reject
-/// mismatches with [`SnapshotError::VersionMismatch`]).
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// mismatches with [`SnapshotError::VersionMismatch`]). Version 1 was the
+/// retired GRCK layout with its GRCD/GRCZ/GRCM siblings.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"GRCK";
@@ -66,6 +71,14 @@ pub enum CheckpointPolicy {
 }
 
 impl CheckpointPolicy {
+    /// Whether this policy writes snapshots to disk.
+    pub(crate) fn is_durable(&self) -> bool {
+        matches!(
+            self,
+            CheckpointPolicy::Durable { .. } | CheckpointPolicy::DurableDelta { .. }
+        )
+    }
+
     /// Convenience constructor for [`CheckpointPolicy::Durable`].
     pub fn durable(dir: impl Into<PathBuf>, every: u32) -> Self {
         CheckpointPolicy::Durable {
@@ -293,50 +306,20 @@ macro_rules! impl_state_bytes {
 }
 
 // ---------------------------------------------------------------------------
-// FNV-1a checksums and fingerprints
+// Fingerprints
 // ---------------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Streaming FNV-1a 64 (dependency-free; snapshot files are read fully
-/// into memory anyway, so a cryptographic hash buys nothing here).
-#[derive(Clone, Copy)]
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-
-    pub(crate) fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        self.0 = h;
-    }
-
-    pub(crate) fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.update(bytes);
-    h.finish()
-}
-
 /// What makes a snapshot resumable by exactly one (program, graph, state
-/// layout): the algorithm name, a structural hash of the graph, and a hash
-/// of the value-type widths and phase set.
+/// layout): the algorithm name, a structural hash of the graph, a hash of
+/// the value-type widths and phase set, and the graph's vertex and edge
+/// counts, which every decoded length is checked against.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Fingerprint {
     pub(crate) algorithm: String,
     pub(crate) graph: u64,
     pub(crate) state: u64,
+    pub(crate) vertices: u32,
+    pub(crate) edges: u64,
 }
 
 /// Edges hashed exhaustively up to this count; larger graphs are
@@ -381,6 +364,8 @@ pub(crate) fn fingerprint_for<P: GasProgram>(program: &P, layout: &GraphLayout) 
         algorithm: program.name().to_string(),
         graph: graph_fingerprint(layout),
         state: h.finish(),
+        vertices: layout.num_vertices(),
+        edges: layout.num_edges(),
     }
 }
 
@@ -397,428 +382,10 @@ pub(crate) fn values_fingerprint<V: StateBytes>(values: &[V]) -> u64 {
     h.finish()
 }
 
-// ---------------------------------------------------------------------------
-// Snapshot encode / decode
-// ---------------------------------------------------------------------------
-
-/// Host master state restored from a durable snapshot: everything
-/// [`crate::exec::host::HostState`] holds, including the full iteration
-/// trace (the in-memory [`crate::checkpoint::Checkpoint`] stores only its
-/// length — a resumed run must reconstruct the whole trace so its
-/// per-iteration report matches the uninterrupted oracle's).
-pub(crate) struct RestoredState<P: GasProgram> {
-    pub(crate) vertex_values: Vec<P::VertexValue>,
-    pub(crate) edge_values: Vec<P::EdgeValue>,
-    pub(crate) gather_temp: Vec<P::Gather>,
-    pub(crate) frontier: Bitmap,
-    pub(crate) changed: Bitmap,
-    pub(crate) next_frontier: Bitmap,
-    pub(crate) trace: Vec<IterationStats>,
-}
-
-impl<P: GasProgram> RestoredState<P> {
-    /// Completed iterations at capture time; the resumed loop starts here.
-    pub(crate) fn iterations_completed(&self) -> u32 {
-        self.trace.len() as u32
-    }
-}
-
-// Manual impl: the value types carry no Debug bound, so summarize sizes.
-impl<P: GasProgram> std::fmt::Debug for RestoredState<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RestoredState")
-            .field("vertices", &self.vertex_values.len())
-            .field("edges", &self.edge_values.len())
-            .field("iterations", &self.trace.len())
-            .finish()
-    }
-}
-
-pub(crate) const TRACE_ENTRY_BYTES: usize = 40;
-
-pub(crate) fn put_values<V: StateBytes>(out: &mut Vec<u8>, values: &[V]) {
-    let start = out.len();
-    out.resize(start + values.len() * V::BYTES, 0);
-    for (i, v) in values.iter().enumerate() {
-        v.write_bytes(&mut out[start + i * V::BYTES..start + (i + 1) * V::BYTES]);
-    }
-}
-
-pub(crate) fn put_bitmap(out: &mut Vec<u8>, b: &Bitmap) {
-    for w in b.words() {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-}
-
-/// Serialize one consistent snapshot (checksum included) to bytes.
-#[allow(clippy::too_many_arguments)] // mirrors the HostState fields 1:1
-pub(crate) fn encode_snapshot<P: GasProgram>(
-    fp: &Fingerprint,
-    vertex_values: &[P::VertexValue],
-    edge_values: &[P::EdgeValue],
-    gather_temp: &[P::Gather],
-    frontier: &Bitmap,
-    changed: &Bitmap,
-    next_frontier: &Bitmap,
-    trace: &[IterationStats],
-) -> Vec<u8> {
-    let n = vertex_values.len() as u32;
-    let m = edge_values.len() as u64;
-    let words = (n as usize).div_ceil(64);
-    let mut out = Vec::with_capacity(
-        64 + fp.algorithm.len()
-            + vertex_values.len() * P::VertexValue::BYTES
-            + edge_values.len() * P::EdgeValue::BYTES
-            + gather_temp.len() * P::Gather::BYTES
-            + 3 * words * 8
-            + trace.len() * TRACE_ENTRY_BYTES,
-    );
-    encode_envelope_header(&mut out, &SNAPSHOT_MAGIC, fp);
-    out.extend_from_slice(&n.to_le_bytes());
-    out.extend_from_slice(&m.to_le_bytes());
-    out.extend_from_slice(&(trace.len() as u32).to_le_bytes());
-    put_values(&mut out, vertex_values);
-    put_values(&mut out, edge_values);
-    put_values(&mut out, gather_temp);
-    put_bitmap(&mut out, frontier);
-    put_bitmap(&mut out, changed);
-    put_bitmap(&mut out, next_frontier);
-    for it in trace {
-        out.extend_from_slice(&it.frontier_size.to_le_bytes());
-        out.extend_from_slice(&it.gathered_edges.to_le_bytes());
-        out.extend_from_slice(&it.changed.to_le_bytes());
-        out.extend_from_slice(&it.activated.to_le_bytes());
-        out.extend_from_slice(&it.shards_processed.to_le_bytes());
-        out.extend_from_slice(&it.shards_skipped.to_le_bytes());
-    }
-    let checksum = fnv1a(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
-}
-
-/// Push the shared snapshot-family prefix: magic, format version, and the
-/// run fingerprint (algorithm name, graph hash, state-layout hash).
-pub(crate) fn encode_envelope_header(out: &mut Vec<u8>, magic: &[u8; 4], fp: &Fingerprint) {
-    out.extend_from_slice(magic);
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(fp.algorithm.len() as u32).to_le_bytes());
-    out.extend_from_slice(fp.algorithm.as_bytes());
-    out.extend_from_slice(&fp.graph.to_le_bytes());
-    out.extend_from_slice(&fp.state.to_le_bytes());
-}
-
-/// Bounded little-endian reader with byte-offset error context.
-pub(crate) struct Reader<'a> {
-    pub(crate) buf: &'a [u8],
-    pub(crate) pos: usize,
-    pub(crate) path: &'a Path,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], SnapshotError> {
-        if self.buf.len() - self.pos < n {
-            return Err(SnapshotError::ShortRead {
-                path: self.path.to_path_buf(),
-                offset: self.pos as u64,
-                needed: (n - (self.buf.len() - self.pos)) as u64,
-                what,
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub(crate) fn u32(&mut self, what: &'static str) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self, what: &'static str) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn values<V: StateBytes>(
-        &mut self,
-        count: usize,
-        what: &'static str,
-    ) -> Result<Vec<V>, SnapshotError> {
-        let raw = self.take(count * V::BYTES, what)?;
-        Ok((0..count)
-            .map(|i| V::read_bytes(&raw[i * V::BYTES..(i + 1) * V::BYTES]))
-            .collect())
-    }
-
-    pub(crate) fn bitmap(&mut self, len: u32, what: &'static str) -> Result<Bitmap, SnapshotError> {
-        let words = (len as usize).div_ceil(64);
-        let offset = self.pos as u64;
-        let raw = self.take(words * 8, what)?;
-        let words: Vec<u64> = raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        Bitmap::from_words(len, words).ok_or(SnapshotError::Corrupt {
-            path: self.path.to_path_buf(),
-            offset,
-            what,
-        })
-    }
-
-    pub(crate) fn mismatch(
-        &self,
-        field: &'static str,
-        found: String,
-        expected: String,
-    ) -> SnapshotError {
-        SnapshotError::FingerprintMismatch {
-            path: self.path.to_path_buf(),
-            field,
-            found,
-            expected,
-        }
-    }
-}
-
-/// Decode and fully validate one snapshot buffer: magic, version,
-/// checksum, fingerprint, then state. Checksum runs before any field is
-/// trusted, so bit flips anywhere in the file surface as
-/// [`SnapshotError::ChecksumMismatch`], not as garbage state.
-pub(crate) fn decode_snapshot<P: GasProgram>(
-    path: &Path,
-    buf: &[u8],
-    fp: &Fingerprint,
-) -> Result<RestoredState<P>, SnapshotError> {
-    let mut r = check_envelope(path, buf, &SNAPSHOT_MAGIC)?;
-    check_fingerprint(&mut r, fp)?;
-    let n = r.u32("vertex count")?;
-    let m = r.u64("edge count")?;
-    let iters = r.u32("iteration count")? as usize;
-    let vertex_values = r.values::<P::VertexValue>(n as usize, "vertex values")?;
-    let edge_values = r.values::<P::EdgeValue>(m as usize, "edge values")?;
-    let gather_temp = r.values::<P::Gather>(n as usize, "gather temps")?;
-    let frontier = r.bitmap(n, "frontier bitmap")?;
-    let changed = r.bitmap(n, "changed bitmap")?;
-    let next_frontier = r.bitmap(n, "next-frontier bitmap")?;
-    let mut trace = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        trace.push(IterationStats {
-            frontier_size: r.u64("trace: frontier size")?,
-            gathered_edges: r.u64("trace: gathered edges")?,
-            changed: r.u64("trace: changed count")?,
-            activated: r.u64("trace: activated count")?,
-            shards_processed: r.u32("trace: shards processed")?,
-            shards_skipped: r.u32("trace: shards skipped")?,
-        });
-    }
-    Ok(RestoredState {
-        vertex_values,
-        edge_values,
-        gather_temp,
-        frontier,
-        changed,
-        next_frontier,
-        trace,
-    })
-}
-
-/// Validate the shared envelope of any snapshot-family file (`magic`,
-/// version, trailing whole-file checksum) and return a [`Reader`]
-/// positioned after the version field over the checksummed body.
-/// Integrity runs before any field is believed.
-pub(crate) fn check_envelope<'a>(
-    path: &'a Path,
-    buf: &'a [u8],
-    magic: &[u8; 4],
-) -> Result<Reader<'a>, SnapshotError> {
-    let mut r = Reader { buf, pos: 0, path };
-    let found = r.take(4, "magic")?;
-    if found != magic {
-        return Err(SnapshotError::BadMagic {
-            path: path.to_path_buf(),
-        });
-    }
-    let version = r.u32("version")?;
-    if version != SNAPSHOT_VERSION {
-        return Err(SnapshotError::VersionMismatch {
-            path: path.to_path_buf(),
-            found: version,
-            expected: SNAPSHOT_VERSION,
-        });
-    }
-    if buf.len() < 8 {
-        return Err(SnapshotError::ShortRead {
-            path: path.to_path_buf(),
-            offset: buf.len() as u64,
-            needed: 8,
-            what: "checksum",
-        });
-    }
-    let body = &buf[..buf.len() - 8];
-    let stored = u64::from_le_bytes(buf[buf.len() - 8..].try_into().unwrap());
-    let computed = fnv1a(body);
-    if stored != computed {
-        return Err(SnapshotError::ChecksumMismatch {
-            path: path.to_path_buf(),
-            stored,
-            computed,
-        });
-    }
-    Ok(Reader {
-        buf: body,
-        pos: r.pos,
-        path,
-    })
-}
-
-/// Read and validate the fingerprint header (algorithm, graph hash,
-/// state-layout hash); any mismatch fails fast with field context.
-pub(crate) fn check_fingerprint(r: &mut Reader<'_>, fp: &Fingerprint) -> Result<(), SnapshotError> {
-    let algo_len = r.u32("algorithm name length")? as usize;
-    if algo_len > 4096 {
-        return Err(SnapshotError::Corrupt {
-            path: r.path.to_path_buf(),
-            offset: r.pos as u64 - 4,
-            what: "algorithm name length",
-        });
-    }
-    let algo = String::from_utf8_lossy(r.take(algo_len, "algorithm name")?).into_owned();
-    if algo != fp.algorithm {
-        return Err(r.mismatch("algorithm", algo, fp.algorithm.clone()));
-    }
-    let graph = r.u64("graph fingerprint")?;
-    if graph != fp.graph {
-        return Err(r.mismatch(
-            "graph fingerprint",
-            format!("{graph:#018x}"),
-            format!("{:#018x}", fp.graph),
-        ));
-    }
-    let state = r.u64("state fingerprint")?;
-    if state != fp.state {
-        return Err(r.mismatch(
-            "state-layout fingerprint",
-            format!("{state:#018x}"),
-            format!("{:#018x}", fp.state),
-        ));
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Files: atomic write, retention, latest-intact scan
-// ---------------------------------------------------------------------------
-
-pub(crate) fn io_err(path: &Path, op: &'static str, e: std::io::Error) -> SnapshotError {
-    SnapshotError::Io {
-        path: path.to_path_buf(),
-        op,
-        detail: e.to_string(),
-    }
-}
-
-/// Snapshot filename for a given completed-iteration count (zero-padded so
-/// lexicographic order == iteration order).
-pub(crate) fn snapshot_name(iterations: u32) -> String {
-    format!("ckpt-{iterations:08}.grck")
-}
-
-fn parse_snapshot_name(name: &str) -> Option<u32> {
-    name.strip_prefix("ckpt-")?
-        .strip_suffix(".grck")?
-        .parse()
-        .ok()
-}
-
-/// Write `bytes` to `dir/name` atomically: `.tmp` + fsync + rename, so a
-/// crash mid-write never leaves a half file under a valid name. Returns
-/// bytes written. Shared by full snapshots, deltas, and the storage
-/// plane's fault-injectable write path.
-pub(crate) fn write_named_atomic(
-    dir: &Path,
-    name: &str,
-    bytes: &[u8],
-) -> Result<u64, SnapshotError> {
-    fs::create_dir_all(dir).map_err(|e| io_err(dir, "create directory", e))?;
-    let finalp = dir.join(name);
-    let tmp = dir.join(format!("{name}.tmp"));
-    {
-        let mut f = fs::File::create(&tmp).map_err(|e| io_err(&tmp, "create", e))?;
-        f.write_all(bytes).map_err(|e| io_err(&tmp, "write", e))?;
-        f.sync_all().map_err(|e| io_err(&tmp, "sync", e))?;
-    }
-    fs::rename(&tmp, &finalp).map_err(|e| io_err(&finalp, "rename into place", e))?;
-    Ok(bytes.len() as u64)
-}
-
-/// All full-snapshot files under `dir`, newest (highest iteration) first.
-pub(crate) fn snapshot_files(dir: &Path) -> Result<Vec<(u32, PathBuf)>, SnapshotError> {
-    let entries = fs::read_dir(dir).map_err(|e| io_err(dir, "read directory", e))?;
-    let mut found = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| io_err(dir, "read directory entry", e))?;
-        let name = entry.file_name();
-        if let Some(iters) = name.to_str().and_then(parse_snapshot_name) {
-            found.push((iters, entry.path()));
-        }
-    }
-    found.sort_by_key(|&(iters, _)| std::cmp::Reverse(iters));
-    Ok(found)
-}
-
-pub(crate) fn prune_old(dir: &Path) -> Result<(), SnapshotError> {
-    for (_, path) in snapshot_files(dir)?.into_iter().skip(SNAPSHOTS_RETAINED) {
-        fs::remove_file(&path).map_err(|e| io_err(&path, "prune", e))?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testprog::{Cc, Pr, PrValue};
-    use gr_graph::{gen, GraphLayout};
-
-    fn layout() -> GraphLayout {
-        GraphLayout::build(&gen::uniform(96, 400, 5).symmetrize())
-    }
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let d = std::env::temp_dir().join(format!("gr-snap-{tag}-{}-{seq}", std::process::id()));
-        let _ = fs::remove_dir_all(&d);
-        fs::create_dir_all(&d).unwrap();
-        d
-    }
-
-    /// Encoded snapshot whose vertex values carry `seed`, so tests can
-    /// tell which file a resume actually restored.
-    fn sample_state_seeded(fp: &Fingerprint, seed: u32) -> Vec<u8> {
-        let mut frontier = Bitmap::new(96);
-        frontier.set(3);
-        frontier.set(77);
-        let trace = vec![IterationStats {
-            frontier_size: 96,
-            gathered_edges: 400,
-            changed: 12,
-            activated: 2,
-            shards_processed: 2,
-            shards_skipped: 0,
-        }];
-        encode_snapshot::<Cc>(
-            fp,
-            &(0u32..96).map(|i| i + seed).collect::<Vec<_>>(),
-            &[(); 800],
-            &vec![u32::MAX; 96],
-            &frontier,
-            &Bitmap::new(96),
-            &Bitmap::new(96),
-            &trace,
-        )
-    }
-
-    fn sample_state(fp: &Fingerprint) -> Vec<u8> {
-        sample_state_seeded(fp, 0)
-    }
+    use crate::testprog::PrValue;
 
     #[test]
     fn state_bytes_round_trip_primitives_and_structs() {
@@ -840,197 +407,6 @@ mod tests {
         let back = PrValue::read_bytes(&buf);
         assert_eq!(back.rank, 0.25);
         assert_eq!(back.out_degree, 7);
-    }
-
-    #[test]
-    fn encode_decode_round_trip() {
-        let l = layout();
-        let fp = fingerprint_for(&Cc, &l);
-        let buf = sample_state(&fp);
-        let path = Path::new("mem");
-        let got = decode_snapshot::<Cc>(path, &buf, &fp).unwrap();
-        assert_eq!(got.vertex_values, (0u32..96).collect::<Vec<_>>());
-        assert_eq!(got.edge_values.len(), 800);
-        assert_eq!(got.frontier.count(), 2);
-        assert!(got.frontier.get(3) && got.frontier.get(77));
-        assert_eq!(got.trace.len(), 1);
-        assert_eq!(got.trace[0].gathered_edges, 400);
-        assert_eq!(got.iterations_completed(), 1);
-    }
-
-    #[test]
-    fn bit_flips_anywhere_fail_the_checksum() {
-        let l = layout();
-        let fp = fingerprint_for(&Cc, &l);
-        let buf = sample_state(&fp);
-        let path = Path::new("mem");
-        // Flip one bit in several regions: header, values, bitmap, trace.
-        for at in [9, 40, 200, buf.len() - 20] {
-            let mut bad = buf.clone();
-            bad[at] ^= 0x10;
-            match decode_snapshot::<Cc>(path, &bad, &fp) {
-                Err(SnapshotError::ChecksumMismatch { .. }) => {}
-                other => panic!("flip at {at}: expected checksum mismatch, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn truncation_is_a_typed_short_read_with_offset() {
-        let l = layout();
-        let fp = fingerprint_for(&Cc, &l);
-        let buf = sample_state(&fp);
-        let path = Path::new("mem");
-        // A file cut before the header ends can't even reach the checksum:
-        // the reader reports exactly which field ran dry and where.
-        match decode_snapshot::<Cc>(path, &buf[..6], &fp) {
-            Err(SnapshotError::ShortRead {
-                offset,
-                needed,
-                what,
-                ..
-            }) => {
-                assert_eq!(offset, 4, "version field starts after the magic");
-                assert_eq!(needed, 2, "4-byte version, 2 bytes left");
-                assert_eq!(what, "version");
-            }
-            other => panic!("expected short read, got {other:?}"),
-        }
-        // A cut past the header leaves >= 8 trailing bytes, which the
-        // checksum-before-trust pass interprets as the (now wrong)
-        // checksum — truncation inside the body is an integrity failure,
-        // never silently-short state.
-        let cut = 60;
-        match decode_snapshot::<Cc>(path, &buf[..cut], &fp) {
-            Err(SnapshotError::ChecksumMismatch { .. }) => {}
-            other => panic!("expected checksum mismatch, got {other:?}"),
-        }
-        // Cut off only part of the checksum: still typed, still located.
-        let e = decode_snapshot::<Cc>(path, &buf[..buf.len() - 3], &fp).unwrap_err();
-        assert!(matches!(e, SnapshotError::ChecksumMismatch { .. }));
-        assert!(e.to_string().contains("corrupt"), "{e}");
-    }
-
-    #[test]
-    fn wrong_magic_and_version_are_rejected() {
-        let l = layout();
-        let fp = fingerprint_for(&Cc, &l);
-        let mut buf = sample_state(&fp);
-        let path = Path::new("mem");
-        let mut bad = buf.clone();
-        bad[0] = b'X';
-        assert!(matches!(
-            decode_snapshot::<Cc>(path, &bad, &fp),
-            Err(SnapshotError::BadMagic { .. })
-        ));
-        buf[4] = 99; // version byte
-        match decode_snapshot::<Cc>(path, &buf, &fp) {
-            Err(SnapshotError::VersionMismatch {
-                found, expected, ..
-            }) => {
-                assert_eq!(found, 99);
-                assert_eq!(expected, SNAPSHOT_VERSION);
-            }
-            other => panic!("expected version mismatch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn fingerprint_mismatches_fail_fast_with_field_context() {
-        let l = layout();
-        let fp = fingerprint_for(&Cc, &l);
-        let buf = sample_state(&fp);
-        let path = Path::new("mem");
-        // Different algorithm.
-        let other = Fingerprint {
-            algorithm: "pagerank".into(),
-            ..fp.clone()
-        };
-        let e = decode_snapshot::<Cc>(path, &buf, &other).unwrap_err();
-        assert!(e.to_string().contains("algorithm"), "{e}");
-        // Different graph.
-        let l2 = GraphLayout::build(&gen::uniform(96, 420, 6).symmetrize());
-        let fp2 = fingerprint_for(&Cc, &l2);
-        assert_ne!(
-            fp.graph, fp2.graph,
-            "distinct graphs must fingerprint apart"
-        );
-        let e = decode_snapshot::<Cc>(path, &buf, &fp2).unwrap_err();
-        assert!(
-            matches!(e, SnapshotError::FingerprintMismatch { field, .. } if field == "graph fingerprint"),
-        );
-        // Different state layout (Pr has an 8-byte vertex value).
-        let fp3 = fingerprint_for(&Pr, &l);
-        assert_ne!(fp.state, fp3.state);
-    }
-
-    #[test]
-    fn atomic_write_retention_and_latest_scan() {
-        let l = layout();
-        let fp = fingerprint_for(&Cc, &l);
-        let dir = tmpdir("retain");
-        for iters in [0u32, 2, 4, 6] {
-            let buf = sample_state_seeded(&fp, iters);
-            write_named_atomic(&dir, &snapshot_name(iters), &buf).unwrap();
-            prune_old(&dir).unwrap();
-        }
-        let files = snapshot_files(&dir).unwrap();
-        assert_eq!(files.len(), SNAPSHOTS_RETAINED, "older snapshots pruned");
-        assert_eq!(files[0].0, 6);
-        assert_eq!(files[1].0, 4);
-        // No temp litter survives a completed write.
-        assert!(fs::read_dir(&dir).unwrap().all(|e| !e
-            .unwrap()
-            .file_name()
-            .to_string_lossy()
-            .ends_with(".tmp")));
-        let r = crate::snapshot_delta::load_newest::<Cc>(&dir, &fp).unwrap();
-        assert_eq!(r.state.vertex_values[0], 6, "the newest file was loaded");
-        assert!(r.bytes > 0);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupted_latest_falls_back_to_previous_intact() {
-        let l = layout();
-        let fp = fingerprint_for(&Cc, &l);
-        let dir = tmpdir("fallback");
-        write_named_atomic(&dir, &snapshot_name(4), &sample_state_seeded(&fp, 4)).unwrap();
-        write_named_atomic(&dir, &snapshot_name(6), &sample_state_seeded(&fp, 6)).unwrap();
-        // Flip a byte in the newest file.
-        let latest = dir.join(snapshot_name(6));
-        let mut raw = fs::read(&latest).unwrap();
-        raw[100] ^= 0xff;
-        fs::write(&latest, &raw).unwrap();
-        let r = crate::snapshot_delta::load_newest::<Cc>(&dir, &fp).unwrap();
-        assert_eq!(r.state.vertex_values[0], 4, "fell back to the intact file");
-        // Both corrupt -> typed error, not garbage state.
-        let prev = dir.join(snapshot_name(4));
-        let mut raw = fs::read(&prev).unwrap();
-        let at = raw.len() - 1;
-        raw.truncate(at);
-        fs::write(&prev, &raw).unwrap();
-        assert!(crate::snapshot_delta::load_newest::<Cc>(&dir, &fp).is_err());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn empty_or_missing_dir_is_a_clean_no_snapshot() {
-        let dir = tmpdir("empty");
-        let fp = Fingerprint {
-            algorithm: "cc".into(),
-            graph: 1,
-            state: 2,
-        };
-        assert!(matches!(
-            crate::snapshot_delta::load_newest::<Cc>(&dir, &fp),
-            Err(SnapshotError::NoSnapshot { .. })
-        ));
-        fs::remove_dir_all(&dir).unwrap();
-        assert!(matches!(
-            crate::snapshot_delta::load_newest::<Cc>(&dir, &fp),
-            Err(SnapshotError::Io { .. })
-        ));
     }
 
     #[test]

@@ -20,6 +20,16 @@ pub struct IterationStats {
     pub shards_skipped: u32,
 }
 
+// Snapshots carry the whole trace in this fixed-width layout.
+crate::impl_state_bytes!(IterationStats {
+    frontier_size: u64,
+    gathered_edges: u64,
+    changed: u64,
+    activated: u64,
+    shards_processed: u32,
+    shards_skipped: u32,
+});
+
 /// Whole-run statistics.
 #[derive(Clone, Debug, Default)]
 pub struct RunStats {

@@ -27,9 +27,10 @@ use std::path::Path;
 use gr_observe::{Decision, Observer};
 use gr_sim::{FaultPlan, IoFault, IoFaultState, IoOp};
 
+use crate::frame::write_atomic;
 use crate::recovery::{EngineError, RecoveryPolicy};
-use crate::snapshot::write_named_atomic;
-use crate::store::ShardStoreHandle;
+use crate::snapshot::SnapshotError;
+use crate::store::{ShardStoreHandle, StoreError};
 
 /// Counters the storage plane accumulates for [`crate::RunStats`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -68,31 +69,58 @@ impl StorageCtx {
         self.io.injected()
     }
 
-    /// Run one attempt sequence for `op`: returns `Ok(true)` when an
-    /// attempt came up fault-free (the caller may now perform the real
-    /// I/O), `Ok(false)` when retries were exhausted (the caller
-    /// degrades). Emits exactly one decision per injected fault.
-    fn attempt(&mut self, op: IoOp, iteration: u32, shard: u32) -> Result<bool, EngineError> {
+    /// Run one attempt sequence for `op`, handing every injected fault to
+    /// `on_fault` first: `None` when an attempt came up fault-free (the
+    /// caller may now perform the real I/O), `Some(fault)` when retries
+    /// were exhausted (the caller degrades). Emits one `StorageRetry`
+    /// decision per absorbed fault; the caller logs the degradation.
+    fn attempt(
+        &mut self,
+        op: IoOp,
+        iteration: u32,
+        shard: u32,
+        mut on_fault: impl FnMut(IoFault),
+    ) -> Option<IoFault> {
         for attempt in 0..=self.policy.max_retries {
-            let Some(fault) = self.io.next(op) else {
-                return Ok(true);
-            };
-            if attempt < self.policy.max_retries {
-                self.counters.retries += 1;
-                let backoff_ns = self.policy.backoff(attempt + 1).as_nanos();
-                self.observer.decision(|| Decision::StorageRetry {
-                    iteration,
-                    op: op.name(),
-                    fault: fault.name(op),
-                    shard,
-                    attempt: attempt + 1,
-                    backoff_ns,
-                });
-            } else {
-                return Ok(false);
+            let fault = self.io.next(op)?;
+            on_fault(fault);
+            if attempt == self.policy.max_retries {
+                return Some(fault);
             }
+            self.counters.retries += 1;
+            let backoff_ns = self.policy.backoff(attempt + 1).as_nanos();
+            self.observer.decision(|| Decision::StorageRetry {
+                iteration,
+                op: op.name(),
+                fault: fault.name(op),
+                shard,
+                attempt: attempt + 1,
+                backoff_ns,
+            });
         }
         unreachable!("the final attempt always returns")
+    }
+
+    /// One spill I/O behind the retry ladder. `Ok(None)` means retries
+    /// ran out; the degradation decision records `rationale`.
+    fn spill<T>(
+        &mut self,
+        op: IoOp,
+        shard: u32,
+        iteration: u32,
+        rationale: &'static str,
+        io: impl FnOnce() -> Result<T, StoreError>,
+    ) -> Result<Option<T>, EngineError> {
+        if self.attempt(op, iteration, shard, |_| {}).is_none() {
+            return Ok(Some(io()?));
+        }
+        self.observer.decision(|| Decision::StorageDegraded {
+            iteration,
+            op: op.name(),
+            shard,
+            rationale,
+        });
+        Ok(None)
     }
 
     /// Spill a shard payload to the store. `Ok(None)` means the write was
@@ -105,16 +133,10 @@ impl StorageCtx {
         payload: &[u8],
         iteration: u32,
     ) -> Result<Option<u64>, EngineError> {
-        if self.attempt(IoOp::SpillWrite, iteration, shard)? {
-            return Ok(Some(store.put(shard, payload)?));
-        }
-        self.observer.decision(|| Decision::StorageDegraded {
-            iteration,
-            op: IoOp::SpillWrite.name(),
-            shard,
-            rationale: "shard stays host-resident",
-        });
-        Ok(None)
+        let rationale = "shard stays host-resident";
+        self.spill(IoOp::SpillWrite, shard, iteration, rationale, || {
+            store.put(shard, payload)
+        })
     }
 
     /// Read a spilled shard payload back. `Ok(None)` means retries were
@@ -125,17 +147,12 @@ impl StorageCtx {
         shard: u32,
         iteration: u32,
     ) -> Result<Option<Vec<u8>>, EngineError> {
-        if self.attempt(IoOp::SpillRead, iteration, shard)? {
-            return Ok(Some(store.get(shard)?));
-        }
-        self.counters.restreams += 1;
-        self.observer.decision(|| Decision::StorageDegraded {
-            iteration,
-            op: IoOp::SpillRead.name(),
-            shard,
-            rationale: "re-stream from source graph",
-        });
-        Ok(None)
+        let rationale = "re-stream from source graph";
+        let got = self.spill(IoOp::SpillRead, shard, iteration, rationale, || {
+            store.get(shard)
+        })?;
+        self.counters.restreams += u64::from(got.is_none());
+        Ok(got)
     }
 
     /// Write a durable snapshot file atomically, absorbing injected
@@ -151,38 +168,27 @@ impl StorageCtx {
         boundary: u32,
         bytes: &[u8],
     ) -> Result<Option<u64>, EngineError> {
-        for attempt in 0..=self.policy.max_retries {
-            let Some(fault) = self.io.next(IoOp::CheckpointWrite) else {
-                return Ok(Some(write_named_atomic(dir, name, bytes)?));
-            };
+        let tear = |fault| {
             if matches!(fault, IoFault::Torn) {
                 // The torn write got as far as a partial temp file.
-                let torn = &bytes[..bytes.len() / 2];
-                let tmp = dir.join(format!("{name}.tmp"));
                 let _ = std::fs::create_dir_all(dir);
-                let _ = std::fs::write(&tmp, torn);
+                let _ = std::fs::write(dir.join(format!("{name}.tmp")), &bytes[..bytes.len() / 2]);
             }
-            if attempt < self.policy.max_retries {
-                self.counters.retries += 1;
-                let backoff_ns = self.policy.backoff(attempt + 1).as_nanos();
-                self.observer.decision(|| Decision::StorageRetry {
-                    iteration: boundary,
-                    op: IoOp::CheckpointWrite.name(),
-                    fault: fault.name(IoOp::CheckpointWrite),
-                    shard: 0,
-                    attempt: attempt + 1,
-                    backoff_ns,
-                });
-            } else {
-                self.counters.skipped += 1;
-                self.observer.decision(|| Decision::CheckpointSkipped {
-                    iteration: boundary,
-                    rationale: fault.name(IoOp::CheckpointWrite),
-                });
-                return Ok(None);
-            }
-        }
-        unreachable!("the final attempt always returns")
+        };
+        let Some(fault) = self.attempt(IoOp::CheckpointWrite, boundary, 0, tear) else {
+            write_atomic(dir, name, bytes).map_err(|f| SnapshotError::Io {
+                path: f.path,
+                op: f.op,
+                detail: f.detail,
+            })?;
+            return Ok(Some(bytes.len() as u64));
+        };
+        self.counters.skipped += 1;
+        self.observer.decision(|| Decision::CheckpointSkipped {
+            iteration: boundary,
+            rationale: fault.name(IoOp::CheckpointWrite),
+        });
+        Ok(None)
     }
 }
 

@@ -12,22 +12,14 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use gr_graph::compress::{unzigzag, zigzag, BitReader, BitWriter};
 use gr_graph::CompressionCodec;
 use gr_graph::GraphLayout;
 use gr_graph::Shard;
 
-use crate::snapshot::fnv1a;
-
-/// Magic bytes opening every v1 (uncompressed) file-backed shard blob.
-pub const SHARD_MAGIC: [u8; 4] = *b"GRSH";
-
-/// Magic bytes opening every v2 (codec-framed) file-backed shard blob.
-pub const SHARD_MAGIC_V2: [u8; 4] = *b"GRS2";
+use crate::frame::{self, FrameError};
 
 /// Why a shard could not be spilled or loaded. Like
 /// [`SnapshotError`](crate::snapshot::SnapshotError), every variant names
@@ -191,33 +183,35 @@ impl ShardStore for MemShardStore {
     }
 }
 
-/// File-backed store: one blob per shard under a directory, written
-/// temp-file + rename like snapshots, so a crash mid-spill never leaves a
-/// readable-but-wrong blob. Two frame versions coexist:
+/// File-backed store: one blob per shard under a directory, each a
+/// [`crate::frame`] (magic [`SPILL_MAGIC`], the shard id as its header,
+/// the payload as its body) written temp-file + rename like snapshots, so
+/// a crash mid-spill never leaves a readable-but-wrong blob. With a codec
+/// the body is the payload's u32 little-endian words stride-2
+/// delta-coded (shard payloads interleave `(neighbor, edge id)` pairs, so
+/// same-lane deltas are small), zig-zagged, and run through the named
+/// [`CompressionCodec`]; without one it is stored raw.
 ///
-/// - v1 (no codec): `GRSH | shard u32 | len u64 | payload | fnv1a u64`;
-/// - v2 (codec armed): `GRS2 | shard u32 | clen u64 | rawlen u64 |
-///   codec u8 | zpayload | fnv1a u64`, where `zpayload` is the payload's
-///   u32 little-endian words stride-2 delta-coded (shard payloads
-///   interleave `(neighbor, edge id)` pairs, so same-lane deltas are
-///   small), zig-zagged, and run through the named [`CompressionCodec`].
-///
-/// Reads dispatch on the magic, so a store armed with a codec still
-/// loads blobs an uncompressed run left behind.
+/// The codec rides in the frame, not the store config, so any store
+/// reads any frame. Spill frames never outlive a run; frames of another
+/// layout are refused as corrupt.
 pub struct FileShardStore {
     dir: PathBuf,
     codec: Option<CompressionCodec>,
 }
 
+/// Magic bytes opening every spilled shard frame.
+pub const SPILL_MAGIC: [u8; 4] = *b"GRSP";
+
+/// Spill frame version.
+const SPILL_VERSION: u32 = 1;
+
 impl FileShardStore {
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        FileShardStore {
-            dir: dir.into(),
-            codec: None,
-        }
+        Self::with_codec(dir, None)
     }
 
-    /// A store writing v2 codec frames (`None` behaves like [`new`]).
+    /// A store writing codec-coded frames (`None` behaves like [`new`]).
     ///
     /// [`new`]: FileShardStore::new
     pub fn with_codec(dir: impl Into<PathBuf>, codec: Option<CompressionCodec>) -> Self {
@@ -227,18 +221,8 @@ impl FileShardStore {
         }
     }
 
-    fn path_for(&self, shard: u32) -> PathBuf {
-        self.dir.join(format!("shard-{shard:06}.grsh"))
-    }
-
-    fn io(&self, shard: u32, path: &Path, op: &'static str, e: std::io::Error) -> StoreError {
-        let _ = self;
-        StoreError::Io {
-            shard,
-            path: path.to_path_buf(),
-            op,
-            detail: e.to_string(),
-        }
+    fn name_for(shard: u32) -> String {
+        format!("shard-{shard:06}.grsh")
     }
 }
 
@@ -248,246 +232,68 @@ impl ShardStore for FileShardStore {
     }
 
     fn put(&self, shard: u32, payload: &[u8]) -> Result<u64, StoreError> {
-        fs::create_dir_all(&self.dir)
-            .map_err(|e| self.io(shard, &self.dir, "create directory", e))?;
-        let finalp = self.path_for(shard);
-        let tmp = finalp.with_extension("grsh.tmp");
-        let (mut framed, stored_len) = match self.codec {
-            None => {
-                let mut framed = Vec::with_capacity(payload.len() + 24);
-                framed.extend_from_slice(&SHARD_MAGIC);
-                framed.extend_from_slice(&shard.to_le_bytes());
-                framed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-                framed.extend_from_slice(payload);
-                (framed, payload.len() as u64)
+        let framed = frame::seal(
+            &SPILL_MAGIC,
+            SPILL_VERSION,
+            self.codec,
+            &shard.to_le_bytes(),
+            payload,
+        );
+        frame::write_atomic(&self.dir, &Self::name_for(shard), &framed).map_err(|f| {
+            StoreError::Io {
+                shard,
+                path: f.path,
+                op: f.op,
+                detail: f.detail,
             }
-            Some(codec) => {
-                let z = compress_payload(codec, payload);
-                let mut framed = Vec::with_capacity(z.len() + 33);
-                framed.extend_from_slice(&SHARD_MAGIC_V2);
-                framed.extend_from_slice(&shard.to_le_bytes());
-                framed.extend_from_slice(&(z.len() as u64).to_le_bytes());
-                framed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-                framed.push(codec_tag(codec));
-                let stored = z.len() as u64;
-                framed.extend_from_slice(&z);
-                (framed, stored)
-            }
-        };
-        let checksum = fnv1a(&framed);
-        framed.extend_from_slice(&checksum.to_le_bytes());
-        {
-            let mut f = fs::File::create(&tmp).map_err(|e| self.io(shard, &tmp, "create", e))?;
-            f.write_all(&framed)
-                .map_err(|e| self.io(shard, &tmp, "write", e))?;
-            f.sync_all().map_err(|e| self.io(shard, &tmp, "sync", e))?;
-        }
-        fs::rename(&tmp, &finalp).map_err(|e| self.io(shard, &finalp, "rename into place", e))?;
-        Ok(stored_len)
+        })?;
+        // The stored body: smaller than the payload when coded.
+        Ok((framed.len() - frame::PREFIX - 4 - 8) as u64)
     }
 
     fn get(&self, shard: u32) -> Result<Vec<u8>, StoreError> {
-        let path = self.path_for(shard);
+        let path = self.dir.join(Self::name_for(shard));
         let buf = match fs::read(&path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 return Err(StoreError::Missing { shard })
             }
-            Err(e) => return Err(self.io(shard, &path, "read", e)),
-        };
-        // Both frames open `magic(4) | shard(4)` and close `fnv1a(8)`;
-        // dispatch on the magic so either vintage reads back.
-        if buf.len() < 24 {
-            return Err(StoreError::ShortRead {
-                shard,
-                path,
-                offset: buf.len() as u64,
-                needed: (24 - buf.len()) as u64,
-            });
-        }
-        let v2 = if buf[..4] == SHARD_MAGIC {
-            false
-        } else if buf[..4] == SHARD_MAGIC_V2 {
-            true
-        } else {
-            return Err(StoreError::Corrupt {
-                shard,
-                path,
-                what: "magic",
-            });
-        };
-        let stored_shard = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-        if stored_shard != shard {
-            return Err(StoreError::Corrupt {
-                shard,
-                path,
-                what: "shard id",
-            });
-        }
-        // Header past the shard id: v1 is `len u64`; v2 is
-        // `clen u64 | rawlen u64 | codec u8`.
-        let header = if v2 { 25usize } else { 16 };
-        if buf.len() < header + 8 {
-            return Err(StoreError::ShortRead {
-                shard,
-                path,
-                offset: buf.len() as u64,
-                needed: (header + 8 - buf.len()) as u64,
-            });
-        }
-        let len = u64::from_le_bytes(buf[8..16].try_into().unwrap()) as usize;
-        let total = header.checked_add(len).and_then(|t| t.checked_add(8));
-        match total {
-            Some(t) if t == buf.len() => {}
-            Some(t) if t > buf.len() => {
-                return Err(StoreError::ShortRead {
+            Err(e) => {
+                return Err(StoreError::Io {
                     shard,
                     path,
-                    offset: buf.len() as u64,
-                    needed: (t - buf.len()) as u64,
+                    op: "read",
+                    detail: e.to_string(),
                 })
             }
-            _ => {
-                return Err(StoreError::Corrupt {
-                    shard,
-                    path,
-                    what: "payload length",
-                })
-            }
-        }
-        let body = &buf[..buf.len() - 8];
-        let stored = u64::from_le_bytes(buf[buf.len() - 8..].try_into().unwrap());
-        if fnv1a(body) != stored {
-            return Err(StoreError::Corrupt {
-                shard,
-                path,
-                what: "checksum",
-            });
-        }
-        if !v2 {
-            return Ok(body[16..].to_vec());
-        }
-        let rawlen = u64::from_le_bytes(buf[16..24].try_into().unwrap());
-        let Some(codec) = codec_from_tag(buf[24]) else {
-            return Err(StoreError::Corrupt {
-                shard,
-                path,
-                what: "codec tag",
-            });
         };
-        decompress_payload(codec, &body[header..], rawlen).map_err(|what| StoreError::Corrupt {
+        let corrupt = |what| StoreError::Corrupt {
             shard,
-            path,
+            path: path.clone(),
             what,
-        })
+        };
+        let framed = |e| match e {
+            FrameError::Short { offset, needed, .. } => StoreError::ShortRead {
+                shard,
+                path: path.clone(),
+                offset,
+                needed,
+            },
+            FrameError::BadMagic => corrupt("magic"),
+            FrameError::Version { .. } => corrupt("version"),
+            FrameError::Checksum { .. } => corrupt("checksum"),
+            FrameError::Corrupt { what, .. } => corrupt(what),
+        };
+        let f = frame::open(&buf, &SPILL_MAGIC, SPILL_VERSION).map_err(framed)?;
+        if f.header != shard.to_le_bytes() {
+            return Err(corrupt("shard id"));
+        }
+        Ok(f.body().map_err(framed)?.into_owned())
     }
 
     fn contains(&self, shard: u32) -> bool {
-        self.path_for(shard).exists()
+        self.dir.join(Self::name_for(shard)).exists()
     }
-}
-
-/// First ζ frame tag: ζ_k frames carry `ZETA_TAG_BASE + k`. Tags `1..=8`
-/// named ζ_k in a retired bit order (minimal-binary suffix MSB-first, one
-/// bit at a time) and are refused as a corrupt codec tag, never decoded.
-const ZETA_TAG_BASE: u8 = 0x10;
-
-/// Frame byte naming the codec: 0 = varint, `ZETA_TAG_BASE + k` = ζ_k.
-pub(crate) fn codec_tag(codec: CompressionCodec) -> u8 {
-    match codec {
-        CompressionCodec::Varint => 0,
-        CompressionCodec::Zeta(k) => ZETA_TAG_BASE + k.clamp(1, 8) as u8,
-    }
-}
-
-pub(crate) fn codec_from_tag(tag: u8) -> Option<CompressionCodec> {
-    match tag {
-        0 => Some(CompressionCodec::Varint),
-        t @ 0x11..=0x18 => Some(CompressionCodec::Zeta(u32::from(t - ZETA_TAG_BASE))),
-        _ => None,
-    }
-}
-
-/// Compress an opaque shard payload for a v2 frame: the payload's u32
-/// little-endian words stride-2 delta-coded against the previous word in
-/// the same lane (payloads interleave `(neighbor, eid)` pairs, so lane
-/// deltas are the same small gaps the shard codecs were built for),
-/// zig-zagged, and written through `codec`. A non-multiple-of-4 tail
-/// rides as raw bytes after the coded words.
-pub(crate) fn compress_payload(codec: CompressionCodec, payload: &[u8]) -> Vec<u8> {
-    let mut w = BitWriter::new();
-    let words = payload.len() / 4;
-    let mut prev = [0u32; 2];
-    for i in 0..words {
-        let word = u32::from_le_bytes(payload[i * 4..i * 4 + 4].try_into().unwrap());
-        codec.write(&mut w, zigzag(word as i64 - prev[i % 2] as i64));
-        prev[i % 2] = word;
-    }
-    for &b in &payload[words * 4..] {
-        w.write_bits(b as u64, 8);
-    }
-    let bit_len = w.bit_len();
-    let mut out = Vec::with_capacity(bit_len.div_ceil(8) as usize);
-    for word in w.finish() {
-        out.extend_from_slice(&word.to_le_bytes());
-    }
-    out.truncate(bit_len.div_ceil(8) as usize);
-    out
-}
-
-/// Exact inverse of [`compress_payload`]. `rawlen` comes from the frame
-/// header; the checksum vouches that the bytes are the ones written, not
-/// that a writer of this program wrote them. So a `rawlen` the stream
-/// cannot hold fails as `"raw length"` before anything is allocated, and
-/// a decode that runs past the stream fails as `"compressed payload"`.
-pub(crate) fn decompress_payload(
-    codec: CompressionCodec,
-    z: &[u8],
-    rawlen: u64,
-) -> Result<Vec<u8>, &'static str> {
-    let stream_bits = z.len() as u64 * 8;
-    let (words, tail) = (rawlen / 4, rawlen % 4);
-    // Every varint takes at least 8 bits, every ζ code at least 1, and
-    // every raw tail byte 8.
-    let min_code_bits = if codec == CompressionCodec::Varint {
-        8
-    } else {
-        1
-    };
-    let fits = words
-        .checked_mul(min_code_bits)
-        .and_then(|b| b.checked_add(tail * 8))
-        .is_some_and(|b| b <= stream_bits);
-    if !fits {
-        return Err("raw length");
-    }
-    let bits: Vec<u64> = z
-        .chunks(8)
-        .map(|c| {
-            let mut word = [0u8; 8];
-            word[..c.len()].copy_from_slice(c);
-            u64::from_le_bytes(word)
-        })
-        .collect();
-    let dec = codec.decoder();
-    let mut r = BitReader::new(&bits, 0);
-    let mut out = Vec::with_capacity(rawlen as usize);
-    let mut prev = [0u32; 2];
-    for i in 0..words as usize {
-        let word = (prev[i % 2] as i64).wrapping_add(unzigzag(dec.read(&mut r))) as u32;
-        if r.bit_pos() > stream_bits {
-            return Err("compressed payload");
-        }
-        out.extend_from_slice(&word.to_le_bytes());
-        prev[i % 2] = word;
-    }
-    for _ in 0..tail {
-        out.push(r.read_bits(8) as u8);
-    }
-    if r.bit_pos() > stream_bits {
-        return Err("compressed payload");
-    }
-    Ok(out)
 }
 
 /// Serialize a shard's topology — its slice of the CSC/CSR adjacency as
@@ -517,6 +323,7 @@ pub(crate) fn shard_payload(layout: &GraphLayout, shard: &Shard) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     fn tmpdir(tag: &str) -> PathBuf {
         static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -558,23 +365,23 @@ mod tests {
         s.put(5, b"payload bytes here").unwrap();
         let path = dir.join("shard-000005.grsh");
         let good = fs::read(&path).unwrap();
+        let corrupt =
+            |what| matches!(s.get(5), Err(StoreError::Corrupt { what: w, .. }) if w == what);
 
-        // Bit flip in the payload -> checksum.
+        // Bit flip in the payload, or a cut inside the frame -> checksum.
         let mut bad = good.clone();
-        bad[18] ^= 1;
+        bad[frame::PREFIX + 6] ^= 1;
         fs::write(&path, &bad).unwrap();
-        assert!(matches!(
-            s.get(5),
-            Err(StoreError::Corrupt {
-                what: "checksum",
-                ..
-            })
-        ));
-
-        // Truncation -> short read with offsets.
+        assert!(corrupt("checksum"));
         fs::write(&path, &good[..good.len() - 4]).unwrap();
+        assert!(corrupt("checksum"));
+
+        // A cut inside the fixed prefix -> short read with offsets.
+        fs::write(&path, &good[..20]).unwrap();
         match s.get(5) {
-            Err(StoreError::ShortRead { needed, .. }) => assert_eq!(needed, 4),
+            Err(StoreError::ShortRead { offset, needed, .. }) => {
+                assert_eq!((offset, needed), (20, (frame::PREFIX + 8 - 20) as u64))
+            }
             other => panic!("expected short read, got {other:?}"),
         }
 
@@ -592,10 +399,10 @@ mod tests {
     }
 
     #[test]
-    fn v2_frames_round_trip_and_shrink_real_payloads() {
+    fn coded_frames_round_trip_and_shrink_real_payloads() {
         let layout = GraphLayout::build(&gr_graph::gen::rmat_g500(9, 4096, 7).symmetrize());
         let shards = gr_graph::partition_into_shards(&layout, &gr_graph::EvenEdgePartition, 4);
-        let dir = tmpdir("v2");
+        let dir = tmpdir("coded");
         for codec in [CompressionCodec::Varint, CompressionCodec::Zeta(3)] {
             let s = FileShardStore::with_codec(&dir, Some(codec));
             for (i, sh) in shards.iter().enumerate() {
@@ -622,132 +429,75 @@ mod tests {
     }
 
     #[test]
-    fn codec_armed_store_still_reads_v1_blobs() {
+    fn any_store_reads_any_frame_and_refuses_retired_layouts() {
         let dir = tmpdir("compat");
-        let v1 = FileShardStore::new(&dir);
-        assert_eq!(v1.put(2, b"written before the codec era").unwrap(), 28);
-        let v2 = FileShardStore::with_codec(&dir, Some(CompressionCodec::Zeta(3)));
-        assert!(v2.contains(2));
-        assert_eq!(v2.get(2).unwrap(), b"written before the codec era");
-        // And the reverse: a codec-less store reads v2 frames (the codec
-        // rides in the frame, not the store config).
-        v2.put(3, b"compressed frame").unwrap();
-        assert_eq!(v1.get(3).unwrap(), b"compressed frame");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn compressed_frames_detect_truncation_and_bit_flips() {
-        let dir = tmpdir("v2corrupt");
-        let s = FileShardStore::with_codec(&dir, Some(CompressionCodec::Zeta(3)));
-        s.put(5, b"payload bytes here, long enough to damage")
-            .unwrap();
-        let path = dir.join("shard-000005.grsh");
-        let good = fs::read(&path).unwrap();
-
-        // Bit flip inside the compressed payload -> checksum, never a
-        // garbage decode.
-        let mut bad = good.clone();
-        bad[28] ^= 0x10;
-        fs::write(&path, &bad).unwrap();
+        let raw = FileShardStore::new(&dir);
+        let coded = FileShardStore::with_codec(&dir, Some(CompressionCodec::Zeta(3)));
+        // The codec rides in the frame, not the store config.
+        assert_eq!(raw.put(2, b"written without a codec").unwrap(), 23);
+        assert_eq!(coded.get(2).unwrap(), b"written without a codec");
+        coded.put(3, b"compressed frame").unwrap();
+        assert_eq!(raw.get(3).unwrap(), b"compressed frame");
+        // A v1 `GRSH` blob (magic | shard | len | payload | fnv1a) left by
+        // an older build is refused, never misread.
+        let mut v1 = b"GRSH".to_vec();
+        v1.extend_from_slice(&4u32.to_le_bytes());
+        v1.extend_from_slice(&3u64.to_le_bytes());
+        v1.extend_from_slice(b"old");
+        let sum = frame::fnv1a(&v1);
+        v1.extend_from_slice(&sum.to_le_bytes());
+        fs::write(dir.join("shard-000004.grsh"), &v1).unwrap();
         assert!(matches!(
-            s.get(5),
-            Err(StoreError::Corrupt {
-                what: "checksum",
-                ..
-            })
+            raw.get(4),
+            Err(StoreError::Corrupt { what: "magic", .. })
         ));
-
-        // Flip the codec tag (byte 24) -> checksum catches that too.
-        let mut bad = good.clone();
-        bad[24] ^= 0xff;
-        fs::write(&path, &bad).unwrap();
-        assert!(matches!(s.get(5), Err(StoreError::Corrupt { .. })));
-
-        // Truncation -> short read with offsets.
-        fs::write(&path, &good[..good.len() - 3]).unwrap();
-        match s.get(5) {
-            Err(StoreError::ShortRead { needed, .. }) => assert_eq!(needed, 3),
-            other => panic!("expected short read, got {other:?}"),
-        }
-
-        fs::write(&path, &good).unwrap();
-        assert_eq!(
-            s.get(5).unwrap(),
-            b"payload bytes here, long enough to damage"
-        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Rewrite a GRS2 frame's fields through `edit` (header and payload,
-    /// checksum excluded) and re-seal it, so only the decoder stands
-    /// between the lie and the caller.
+    /// Rewrite a frame's bytes (checksum excluded) and re-seal it, so only
+    /// the decoder stands between the lie and the caller.
     fn reseal(path: &Path, good: &[u8], edit: impl FnOnce(&mut Vec<u8>)) {
         let mut body = good[..good.len() - 8].to_vec();
         edit(&mut body);
-        let clen = (body.len() - 25) as u64;
-        body[8..16].copy_from_slice(&clen.to_le_bytes());
-        let checksum = fnv1a(&body);
+        let checksum = frame::fnv1a(&body);
         body.extend_from_slice(&checksum.to_le_bytes());
         fs::write(path, &body).unwrap();
     }
 
     #[test]
-    fn hostile_raw_lengths_fail_typed_without_panicking() {
+    fn hostile_raw_lengths_and_retired_tags_fail_typed() {
         let dir = tmpdir("hostile");
         let payload = b"payload bytes here, long enough to damage";
+        let path = dir.join("shard-000005.grsh");
         for codec in [CompressionCodec::Varint, CompressionCodec::Zeta(3)] {
             let s = FileShardStore::with_codec(&dir, Some(codec));
             s.put(5, payload).unwrap();
-            let path = dir.join("shard-000005.grsh");
             let good = fs::read(&path).unwrap();
-            let rawlen = payload.len() as u64;
-            // `Some(len)` lies about the raw length; `None` cuts the
-            // payload's last 3 bytes.
-            let lies = [
-                ("overrun by one word", Some(rawlen + 4)),
-                ("overrun by a tail byte", Some(rawlen + 1)),
-                ("u64::MAX", Some(u64::MAX)),
-                ("truncated payload", None),
-            ];
-            for (case, lie) in lies {
-                reseal(&path, &good, |b| match lie {
-                    Some(len) => b[16..24].copy_from_slice(&len.to_le_bytes()),
-                    None => b.truncate(b.len() - 3),
+            for len in [payload.len() as u64 + 4, payload.len() as u64 + 1, u64::MAX] {
+                reseal(&path, &good, |b| {
+                    b[9..17].copy_from_slice(&len.to_le_bytes())
                 });
                 match s.get(5) {
-                    // u64::MAX is refused before the decoder runs.
                     Err(StoreError::Corrupt { what, .. }) => assert!(
-                        what == "raw length"
-                            || (what == "compressed payload" && lie != Some(u64::MAX)),
-                        "{} {case}: {what}",
+                        what == "raw length" || (what == "compressed payload" && len != u64::MAX),
+                        "{} {len}: {what}",
                         codec.name()
                     ),
-                    other => panic!("{} {case}: expected corrupt, got {other:?}", codec.name()),
+                    other => panic!("{} {len}: expected corrupt, got {other:?}", codec.name()),
                 }
             }
             reseal(&path, &good, |_| {});
             assert_eq!(s.get(5).unwrap(), payload);
         }
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn retired_zeta_tags_are_refused() {
-        let dir = tmpdir("tags");
-        let s = FileShardStore::with_codec(&dir, Some(CompressionCodec::Zeta(3)));
-        s.put(5, b"payload bytes here, long enough to damage")
-            .unwrap();
-        let path = dir.join("shard-000005.grsh");
-        let good = fs::read(&path).unwrap();
-        assert_eq!(good[24], 0x13, "zeta3 frames carry tag 0x13");
         // Tags 1..=8 named ζ_k in the old bit order: refused, never
         // decoded, even under a valid checksum.
+        let good = fs::read(&path).unwrap();
+        assert_eq!(good[8], 0x13, "zeta3 frames carry tag 0x13");
         for old in 1..=8u8 {
-            reseal(&path, &good, |b| b[24] = old);
+            reseal(&path, &good, |b| b[8] = old);
             assert!(
                 matches!(
-                    s.get(5),
+                    FileShardStore::new(&dir).get(5),
                     Err(StoreError::Corrupt {
                         what: "codec tag",
                         ..
@@ -756,12 +506,6 @@ mod tests {
                 "tag {old}"
             );
         }
-        for k in 1..=8 {
-            let codec = CompressionCodec::Zeta(k);
-            assert_eq!(codec_from_tag(codec_tag(codec)), Some(codec));
-        }
-        assert_eq!(codec_tag(CompressionCodec::Varint), 0);
-        assert_eq!(codec_from_tag(0), Some(CompressionCodec::Varint));
         fs::remove_dir_all(&dir).unwrap();
     }
 

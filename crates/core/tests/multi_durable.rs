@@ -326,12 +326,13 @@ fn multi_checkpoint_write_faults_degrade_gracefully() {
 }
 
 #[test]
-fn multi_snapshots_carry_the_placement_frame() {
-    // The files a multi run writes are GRCM-framed; the single-GPU
-    // engine accepts them too (placement is advisory), so a multi
-    // checkpoint can even be resumed single-GPU.
+fn multi_snapshots_record_placement_and_resume_single_gpu() {
+    // A multi run writes the same container as a single-GPU run, with
+    // the device count and shard placement in its header; the single-GPU
+    // engine ignores the placement, so a multi checkpoint can even be
+    // resumed single-GPU.
     let layout = multi_layout();
-    let dir = scratch("grcm");
+    let dir = scratch("placement");
     let multi = MultiGraphReduce::new(Cc, &layout, platform(), 2)
         .with_checkpoint_policy(durable(&dir))
         .run()
@@ -343,11 +344,15 @@ fn multi_snapshots_carry_the_placement_frame() {
         .max()
         .expect("a snapshot was written");
     let bytes = std::fs::read(&newest).unwrap();
-    assert_eq!(
-        &bytes[..4],
-        b"GRCM",
-        "multi snapshots lead with the placement frame"
-    );
+    assert_eq!(bytes[..4], graphreduce::snapshot::SNAPSHOT_MAGIC);
+    // Header: 25-byte frame prefix, kind u8, algorithm (len u32 + bytes),
+    // graph and state hashes and m (u64 each), n, iterations and base
+    // (u32 each), then the device count and the placement length.
+    let algo = u32::from_le_bytes(bytes[26..30].try_into().unwrap()) as usize;
+    let at = 30 + algo + 36;
+    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    assert_eq!(word(at), 2, "device count");
+    assert!(word(at + 4) > 0, "one owner per shard");
     let single = graphreduce::GraphReduce::new(
         Cc,
         &layout,
