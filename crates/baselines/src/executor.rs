@@ -8,9 +8,9 @@
 //! oracles) and records the per-iteration work counts each engine's cost
 //! model consumes.
 
-use gr_graph::{Bitmap, GraphLayout, Interval, Shard, TopoView};
-use graphreduce::phases::{activate_shard, apply_shard, gather_shard, scatter_shard};
-use graphreduce::{GasProgram, HostKernels, InitialFrontier};
+use gr_graph::{GraphLayout, Interval, Shard};
+use graphreduce::exec::host::run_to_convergence;
+use graphreduce::{GasProgram, HostKernels};
 
 /// Work counts of one iteration.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -38,94 +38,35 @@ pub struct WorkloadTrace<P: GasProgram> {
     pub iterations: Vec<IterWork>,
 }
 
-/// Execute `program` on `layout` to convergence with BSP GAS semantics.
+/// Execute `program` on `layout` to convergence with BSP GAS semantics,
+/// on the host pool exactly as the GraphReduce engine computes (one
+/// whole-graph shard, cut into edge-balanced chunks per phase).
 pub fn execute<P: GasProgram>(program: &P, layout: &GraphLayout) -> WorkloadTrace<P> {
-    let n = layout.num_vertices();
     let whole = Shard {
         id: 0,
-        interval: Interval { start: 0, end: n },
+        interval: Interval {
+            start: 0,
+            end: layout.num_vertices(),
+        },
         in_edges: 0..layout.num_edges() as usize,
         out_edges: 0..layout.num_edges() as usize,
     };
-    let mut vertex_values: Vec<P::VertexValue> = (0..n)
-        .map(|v| program.init_vertex(v, layout.csr.degree(v) as u32))
+    let run = run_to_convergence(program, layout, &[whole], HostKernels::Adaptive);
+    let iterations = run
+        .iterations
+        .iter()
+        .zip(run.push_work)
+        .map(|(s, walked)| IterWork {
+            frontier: s.frontier_size,
+            active_in_edges: s.gathered_edges,
+            changed: s.changed,
+            out_edges_of_changed: walked,
+            activated: s.activated,
+        })
         .collect();
-    let mut edge_values = vec![P::EdgeValue::default(); layout.num_edges() as usize];
-    let mut gather_temp = vec![program.gather_identity(); n as usize];
-    let mut frontier = match program.initial_frontier() {
-        InitialFrontier::All => Bitmap::full(n),
-        InitialFrontier::Single(v) => {
-            let mut b = Bitmap::new(n);
-            if n > 0 {
-                b.set(v);
-            }
-            b
-        }
-    };
-    let mut iterations = Vec::new();
-    let mut iter = 0u32;
-    while iter < program.max_iterations() && frontier.count() > 0 {
-        let mut w = IterWork {
-            frontier: frontier.count(),
-            ..Default::default()
-        };
-        if program.has_gather() {
-            let (a, e) = gather_shard(
-                program,
-                TopoView::raw(layout),
-                &whole,
-                &vertex_values,
-                &edge_values,
-                &layout.weights,
-                &frontier,
-                &mut gather_temp,
-                HostKernels::Adaptive,
-            );
-            debug_assert_eq!(a, w.frontier);
-            w.active_in_edges = e;
-        }
-        let changed_ids = apply_shard(
-            program,
-            &whole,
-            &mut vertex_values,
-            &gather_temp,
-            &frontier,
-            iter,
-            HostKernels::Adaptive,
-        );
-        let mut changed = Bitmap::new(n);
-        for v in changed_ids {
-            changed.set(v);
-        }
-        w.changed = changed.count();
-        if program.has_scatter() {
-            scatter_shard(
-                program,
-                TopoView::raw(layout),
-                &whole,
-                &vertex_values,
-                &mut edge_values,
-                &changed,
-                HostKernels::Adaptive,
-            );
-        }
-        let mut next = Bitmap::new(n);
-        let (walked, activated) = activate_shard(
-            TopoView::raw(layout),
-            &whole,
-            &changed,
-            &mut next,
-            HostKernels::Adaptive,
-        );
-        w.out_edges_of_changed = walked;
-        w.activated = activated;
-        iterations.push(w);
-        frontier = next;
-        iter += 1;
-    }
     WorkloadTrace {
-        vertex_values,
-        edge_values,
+        vertex_values: run.vertex_values,
+        edge_values: run.edge_values,
         iterations,
     }
 }

@@ -99,7 +99,7 @@ fn usage() -> ! {
          with code 9"
     );
     eprintln!(
-        "  --threads pins the host worker-thread count (RAYON_NUM_THREADS); --wall arms the \
+        "  --threads fixes the host thread pool's width (else RAYON_NUM_THREADS); --wall arms the \
          wall-clock profiler — the report gains a `host wall:` line and real per-phase host \
          times (gr engine only; see docs/PERFORMANCE.md)"
     );

@@ -40,7 +40,7 @@ use std::time::Instant;
 
 use gr_algorithms::{Bfs, Cc, PageRank, Sssp};
 use gr_bench::trajectory::{self, BenchRow, TrajectoryEntry};
-use gr_bench::{effective_host_threads, run_gr_wall, set_host_threads, Algo};
+use gr_bench::{effective_host_threads, run_gr_wall, set_host_threads, with_host_threads, Algo};
 use gr_graph::{
     build_shards, gen, Bitmap, CompressedTopology, CompressionCodec, GraphLayout, Interval,
     TopoView,
@@ -225,7 +225,6 @@ fn sweep_point(
     threads: usize,
     args: &Args,
 ) -> ScalingPoint {
-    set_host_threads(threads);
     let wall = WallProfiler::armed();
     let mut summaries: Vec<WallSummary> = Vec::with_capacity(args.trials);
     let mut workers = 0usize;
@@ -700,9 +699,9 @@ fn main() {
     bench_run(&mut rows, Cc, &layout, &platform, &args);
     let sparse = bench_sparse_iteration(&layout, &args);
 
-    // Thread sweep: pinned runs at 1/2/4/8 workers (just N under
-    // `--threads N`; 1/2 under `--tiny` to keep CI smoke fast), then the
-    // ambient pinning is restored for the rest of the process.
+    // Thread sweep: runs on scoped pools of 1/2/4/8 threads (just N under
+    // `--threads N`; 1/2 under `--tiny` to keep CI smoke fast); the
+    // process-wide pool is left as it was.
     // Compression bracket: the benched RMAT plus a 2D grid of the same
     // edge budget, each compressed and raw on its out-of-core platform.
     let grid_layout = GraphLayout::build(&gen::grid2d_with_edges(
@@ -721,16 +720,10 @@ fn main() {
         None if args.tiny => vec![1, 2],
         None => vec![1, 2, 4, 8],
     };
-    let saved_pin = std::env::var("RAYON_NUM_THREADS").ok();
     let scaling: Vec<ScalingPoint> = sweep_threads
         .iter()
-        .map(|&t| sweep_point(&layout, &sweep_plat, t, &args))
+        .map(|&t| with_host_threads(t, || sweep_point(&layout, &sweep_plat, t, &args)))
         .collect();
-    match (&saved_pin, args.threads) {
-        (Some(v), _) => std::env::set_var("RAYON_NUM_THREADS", v),
-        (None, Some(n)) => set_host_threads(n),
-        (None, None) => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
 
     // Optional wall-track trace: one more profiled run, virtual timeline
     // and real time side by side.

@@ -311,16 +311,37 @@ pub fn run_session_all(
     Ok(out)
 }
 
-/// Pin the host worker-thread count for this process: the vendored rayon
-/// reads `RAYON_NUM_THREADS` at every fan-out, so this takes effect for
-/// all subsequent parallel work (`--threads N` on the CLIs).
+/// Pin the host worker-thread count for this process (`--threads N` on
+/// the CLIs): fixes the width of the global host pool, which is read once
+/// when the pool is created. Call it before any host kernel has run; a
+/// pool that already exists keeps its width, and this says so on stderr.
+/// For a width scoped to part of a process, use [`with_host_threads`].
 pub fn set_host_threads(n: usize) {
-    std::env::set_var("RAYON_NUM_THREADS", n.max(1).to_string());
+    if let Err(e) = rayon::ThreadPoolBuilder::new()
+        .num_threads(n.max(1))
+        .build_global()
+    {
+        eprintln!(
+            "warning: --threads {n} ignored ({e}); running on {} thread(s)",
+            rayon::current_num_threads()
+        );
+    }
 }
 
-/// The thread count parallel host kernels will actually fan out to —
-/// `--threads`/`RAYON_NUM_THREADS` if pinned, else the machine's
-/// available parallelism. This is what benchmark reports must record.
+/// Run `f` with the host kernels on a pool of exactly `n` threads, then
+/// restore the process-wide pool (the `wallclock` thread sweep).
+pub fn with_host_threads<R: Send>(n: usize, f: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(n.max(1))
+        .build()
+        .expect("spawn a host thread pool")
+        .install(f)
+}
+
+/// The thread count parallel host kernels will actually fan out to: the
+/// pool [`with_host_threads`] selected, else the process-wide pool
+/// (`--threads`, `RAYON_NUM_THREADS`, or the machine's available
+/// parallelism). This is what benchmark reports must record.
 pub fn effective_host_threads() -> usize {
     rayon::current_num_threads()
 }

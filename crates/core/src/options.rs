@@ -83,21 +83,24 @@ pub enum StreamingMode {
 /// The adaptive default mirrors Gunrock-style frontier-aware kernel
 /// selection: a phase over a mostly-empty interval iterates only the set
 /// bits of the frontier bitmap (word-skipping, O(active)), while a dense
-/// interval is scanned contiguously (O(interval), parallel across host
-/// threads when available).
+/// interval is scanned contiguously (O(interval)); FrontierActivate pushes
+/// over the out-edges of a sparse changed set and pulls over in-edges when
+/// it is dense. Every mode but `Serial` runs on the host thread pool.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum HostKernels {
     /// Pick sparse or dense per shard per phase by comparing the
-    /// interval's active population against its length (the default).
+    /// interval's active population against its length, and push or pull
+    /// activation per iteration from the push work (the default).
     #[default]
     Adaptive,
-    /// Always scan the full interval (parallel when threads are available).
+    /// Always scan the full interval; always activate by pull.
     Dense,
-    /// Always iterate only the set bits.
+    /// Always iterate only the set bits; always activate by push.
     Sparse,
-    /// The pre-adaptive reference path: serial O(interval) scans probing
-    /// the bitmap per vertex. Kept as the wall-clock benchmark baseline
-    /// and the differential-test oracle.
+    /// The pre-adaptive reference path: O(interval) scans probing the
+    /// bitmap per vertex and push activation, one shard at a time on the
+    /// calling thread. Kept as the wall-clock benchmark baseline and the
+    /// differential-test oracle.
     Serial,
 }
 

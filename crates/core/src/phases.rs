@@ -7,31 +7,38 @@
 //! apply then updates them, scatter reads applied values, and
 //! FrontierActivate marks the one-hop out-neighborhood of changed vertices.
 //!
+//! Every kernel here is a sequential scan of one vertex range. The engine
+//! (`exec/host.rs`) cuts each shard into edge-balanced ranges and runs
+//! them on the host thread pool, one fan-out per phase; the `*_shard`
+//! functions run one whole shard on the calling thread.
+//!
 //! # Sparse/dense kernel selection
 //!
 //! Each phase runs in one of two shapes, mirroring frontier-aware kernel
 //! selection on GPUs (Gunrock's sparse/dense advance, the paper's dynamic
 //! frontier management lifted down to the host kernels):
 //!
-//! - **dense**: scan the shard's whole interval contiguously — O(interval),
-//!   parallel across host threads when the input is large and threads are
-//!   available;
+//! - **dense**: scan the range contiguously, probing the bitmap per
+//!   vertex — O(range);
 //! - **sparse**: iterate only the set bits of the frontier/changed bitmap
 //!   with word-skipping ([`Bitmap::iter_set_range`]) — O(active), exactly
 //!   what a BFS tail or SSSP wave needs.
 //!
 //! [`HostKernels::Adaptive`] picks per shard per phase by comparing the
 //! interval's active population against its length (threshold
-//! [`SPARSE_DENSITY_DENOM`]). All variants produce **bit-identical**
-//! results and identical [`ShardWork`] counts — asserted by the
-//! differential tests in `tests/host_kernels.rs`.
+//! [`SPARSE_DENSITY_DENOM`]), and pushes or pulls FrontierActivate per
+//! iteration ([`PULL_EDGE_DENOM`], `docs/PERFORMANCE.md`).
 //!
-//! Work statistics are recorded per shard; the engine turns them into
-//! kernel cost specs, so the simulated timeline never depends on which
-//! host variant computed the results.
+//! All variants produce **bit-identical** results and identical
+//! [`ShardWork`] counts — asserted by the differential tests in
+//! `tests/host_kernels.rs`. Work statistics are recorded per shard; the
+//! engine turns them into kernel cost specs, so the simulated timeline
+//! never depends on which host variant computed the results.
+
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use gr_graph::{Bitmap, Shard, TopoView};
-use rayon::prelude::*;
 
 use crate::api::GasProgram;
 use crate::options::HostKernels;
@@ -41,43 +48,72 @@ use crate::options::HostKernels;
 /// contiguous scan; above it, the scan's locality wins.
 pub const SPARSE_DENSITY_DENOM: u64 = 8;
 
+/// Adaptive FrontierActivate pulls once pushing would walk at least 1/4
+/// of all edges: pull then stops after a few in-edge reads for most
+/// destinations. Measured neighbours: 2 slows the R-MAT benchmark workload
+/// (it pulls PageRank's tail), 8 the grid one (`docs/PERFORMANCE.md`).
+pub const PULL_EDGE_DENOM: u64 = 4;
+
 /// Concrete shape a phase executes after [`HostKernels`] resolution.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Shape {
+pub(crate) enum Shape {
     Serial,
     Dense,
     Sparse,
 }
 
-/// Resolve the configured kernel mode against an interval's population.
-/// `active` is the number of set bits in `[lo, hi)` of the driving bitmap.
-fn resolve(mode: HostKernels, active: u64, interval_len: u64) -> Shape {
-    match mode {
-        HostKernels::Serial => Shape::Serial,
-        HostKernels::Dense => Shape::Dense,
-        HostKernels::Sparse => Shape::Sparse,
-        HostKernels::Adaptive => {
-            if active.saturating_mul(SPARSE_DENSITY_DENOM) < interval_len {
-                Shape::Sparse
-            } else {
-                Shape::Dense
+impl Shape {
+    /// Resolve the configured kernel mode against an interval's
+    /// population: `active` set bits of the driving bitmap over
+    /// `interval_len` vertices.
+    fn resolve(mode: HostKernels, active: u64, interval_len: u64) -> Shape {
+        match mode {
+            HostKernels::Serial => Shape::Serial,
+            HostKernels::Dense => Shape::Dense,
+            HostKernels::Sparse => Shape::Sparse,
+            HostKernels::Adaptive => {
+                if active.saturating_mul(SPARSE_DENSITY_DENOM) < interval_len {
+                    Shape::Sparse
+                } else {
+                    Shape::Dense
+                }
             }
+        }
+    }
+
+    /// The shape a phase driven by `bits` (frontier for gather/apply,
+    /// changed for scatter/activate) runs on `shard`.
+    pub(crate) fn of(mode: HostKernels, bits: &Bitmap, shard: &Shard) -> Shape {
+        let iv = shard.interval;
+        Shape::resolve(mode, bits.count_range(iv.start, iv.end), iv.len() as u64)
+    }
+
+    /// Label for wall-clock attribution (`gr_observe::profiler`).
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Shape::Serial => "serial",
+            Shape::Dense => "dense",
+            Shape::Sparse => "sparse",
+        }
+    }
+
+    /// Visit the vertices of `[lo, hi)` set in `bits`, ascending.
+    #[inline]
+    fn for_each_set(self, bits: &Bitmap, lo: u32, hi: u32, f: impl FnMut(u32)) {
+        match self {
+            Shape::Sparse => bits.iter_set_range(lo, hi).for_each(f),
+            Shape::Serial | Shape::Dense => (lo..hi).filter(|&v| bits.get(v)).for_each(f),
         }
     }
 }
 
-/// Name of the concrete shape the phase kernels will execute for these
-/// inputs — the same resolution `resolve` performs inside
-/// [`gather_shard`]/[`apply_shard`]/[`scatter_shard`]/[`activate_shard`],
-/// exposed so wall-clock instrumentation (`gr_observe::profiler`) can
-/// attribute real time to the shape that actually ran. `active` is the
-/// set-bit count of the phase's driving bitmap over the interval
-/// (frontier for gather/apply, changed for scatter/activate).
-pub fn shape_name(mode: HostKernels, active: u64, interval_len: u64) -> &'static str {
-    match resolve(mode, active, interval_len) {
-        Shape::Serial => "serial",
-        Shape::Dense => "dense",
-        Shape::Sparse => "sparse",
+/// Whether FrontierActivate pulls this iteration, given the push work
+/// (summed out-degree of the changed vertices) and the edge count.
+pub(crate) fn activates_by_pull(mode: HostKernels, push_work: u64, num_edges: u64) -> bool {
+    match mode {
+        HostKernels::Dense => true,
+        HostKernels::Sparse | HostKernels::Serial => false,
+        HostKernels::Adaptive => push_work.saturating_mul(PULL_EDGE_DENOM) >= num_edges.max(1),
     }
 }
 
@@ -102,23 +138,26 @@ impl ShardWork {
     }
 }
 
-/// Shared mutable slice for provably disjoint index writes from parallel
-/// workers (scatter: each edge's canonical id appears exactly once in the
-/// CSR, so out-edges of distinct vertices never alias).
-struct SharedSliceMut<T> {
+/// Mutable slice shared by parallel scatter ranges, which write disjoint
+/// indices (each edge's canonical id appears exactly once in the CSR, so
+/// out-edges of distinct source vertices never alias).
+pub(crate) struct SharedSliceMut<'a, T> {
     ptr: *mut T,
-    #[cfg(debug_assertions)]
     len: usize,
+    _borrow: PhantomData<&'a mut [T]>,
 }
 
-unsafe impl<T: Send> Sync for SharedSliceMut<T> {}
+// SAFETY: the only field access is `get_mut`, whose callers guarantee no
+// index is touched from two threads; `T: Send` because elements are
+// written from other threads.
+unsafe impl<T: Send> Sync for SharedSliceMut<'_, T> {}
 
-impl<T> SharedSliceMut<T> {
-    fn new(slice: &mut [T]) -> Self {
+impl<'a, T> SharedSliceMut<'a, T> {
+    pub(crate) fn new(slice: &'a mut [T]) -> Self {
         SharedSliceMut {
             ptr: slice.as_mut_ptr(),
-            #[cfg(debug_assertions)]
             len: slice.len(),
+            _borrow: PhantomData,
         }
     }
 
@@ -126,41 +165,55 @@ impl<T> SharedSliceMut<T> {
     /// Callers must never pass the same `i` from two concurrent workers.
     #[allow(clippy::mut_from_ref)] // the disjointness contract is the point
     unsafe fn get_mut(&self, i: usize) -> &mut T {
-        #[cfg(debug_assertions)]
-        debug_assert!(i < self.len);
+        assert!(i < self.len, "edge id {i} out of range");
         &mut *self.ptr.add(i)
     }
 }
 
+/// Set bit `v` of words that parallel push ranges share. Most repeat
+/// destinations are already marked: read first, and pay the atomic
+/// read-modify-write only for new bits.
+pub(crate) fn set_bit_atomic(words: &[AtomicU64], v: u32) {
+    let (word, mask) = (&words[(v / 64) as usize], 1u64 << (v % 64));
+    if word.load(Ordering::Relaxed) & mask == 0 {
+        word.fetch_or(mask, Ordering::Relaxed);
+    }
+}
+
+/// View a bitmap's words as atomics, so parallel push ranges can OR bits
+/// into words they share.
+pub(crate) fn atomic_words(words: &mut [u64]) -> &[AtomicU64] {
+    const _: () = assert!(std::mem::align_of::<AtomicU64>() == std::mem::align_of::<u64>());
+    // SAFETY: `AtomicU64` has the size of `u64` and (asserted) its
+    // alignment; the exclusive borrow rules out non-atomic access while
+    // the view lives.
+    unsafe { std::slice::from_raw_parts(words.as_mut_ptr().cast::<AtomicU64>(), words.len()) }
+}
+
 // ---------------------------------------------------------------------------
-// Gather
+// Range kernels
 // ---------------------------------------------------------------------------
 
-/// Gather phase for one shard: edge-centric map + vertex-centric reduce,
-/// computed per destination vertex (the reduction is associative and
-/// commutative, so folding in CSC order is equivalent).
+/// Gather over the vertices `[lo, lo + out.len())` active in `frontier`:
+/// edge-centric map + vertex-centric reduce, computed per destination
+/// vertex (the reduction is associative and commutative, so folding in
+/// CSC order is equivalent). Only the slots of active vertices are
+/// written. Returns the in-edges gathered.
 ///
 /// Topology is read through `view` — raw CSC slices or lazily decoded
 /// compressed rows; both yield entries in identical order.
-///
-/// `gather_out` is the interval's slice of the gather-temp array; only the
-/// slots of active vertices are written, in every mode.
 #[allow(clippy::too_many_arguments)] // mirrors the phase's real data flow
-pub fn gather_shard<P: GasProgram>(
+pub(crate) fn gather_range<P: GasProgram>(
     program: &P,
     view: TopoView<'_>,
-    shard: &Shard,
+    shape: Shape,
+    lo: u32,
     vertex_values: &[P::VertexValue],
     edge_values: &[P::EdgeValue],
     weights: &[f32],
     frontier: &Bitmap,
-    gather_out: &mut [P::Gather],
-    mode: HostKernels,
-) -> (u64, u64) {
-    let start = shard.interval.start;
-    let end = shard.interval.end;
-    debug_assert_eq!(gather_out.len(), shard.interval.len() as usize);
-
+    out: &mut [P::Gather],
+) -> u64 {
     let gather_one = |v: u32| -> (P::Gather, u64) {
         let mut acc = program.gather_identity();
         let dst_val = vertex_values[v as usize];
@@ -180,53 +233,140 @@ pub fn gather_shard<P: GasProgram>(
         }
         (acc, edges)
     };
+    let mut in_edges = 0;
+    shape.for_each_set(frontier, lo, lo + out.len() as u32, |v| {
+        let (acc, edges) = gather_one(v);
+        out[(v - lo) as usize] = acc;
+        in_edges += edges;
+    });
+    in_edges
+}
 
-    match resolve(mode, frontier.count_range(start, end), (end - start) as u64) {
-        Shape::Serial => {
-            let mut active = 0;
-            let mut in_edges = 0;
-            for (i, out) in gather_out.iter_mut().enumerate() {
-                let v = start + i as u32;
-                if !frontier.get(v) {
-                    continue;
-                }
-                let (acc, edges) = gather_one(v);
-                *out = acc;
-                active += 1;
-                in_edges += edges;
-            }
-            (active, in_edges)
+/// Apply over the vertices `[lo, lo + values.len())` active in
+/// `frontier`; calls `on_change` with each changed vertex, ascending.
+#[allow(clippy::too_many_arguments)] // mirrors the phase's real data flow
+pub(crate) fn apply_range<P: GasProgram>(
+    program: &P,
+    shape: Shape,
+    lo: u32,
+    values: &mut [P::VertexValue],
+    gather_temp: &[P::Gather],
+    frontier: &Bitmap,
+    iteration: u32,
+    mut on_change: impl FnMut(u32),
+) {
+    debug_assert_eq!(values.len(), gather_temp.len());
+    shape.for_each_set(frontier, lo, lo + values.len() as u32, |v| {
+        let i = (v - lo) as usize;
+        if program.apply(&mut values[i], gather_temp[i], iteration) {
+            on_change(v);
         }
-        Shape::Sparse => {
-            let mut active = 0;
-            let mut in_edges = 0;
-            for v in frontier.iter_set_range(start, end) {
-                let (acc, edges) = gather_one(v);
-                gather_out[(v - start) as usize] = acc;
-                active += 1;
-                in_edges += edges;
-            }
-            (active, in_edges)
+    });
+}
+
+/// Scatter over the out-edges of the changed vertices of `[lo, hi)`,
+/// updating mutable edge state through the canonical edge ids. Returns
+/// the number of edges scattered.
+///
+/// # Safety
+/// Concurrent calls sharing `edge_values` must cover disjoint source
+/// ranges (their out-edges then carry disjoint canonical ids).
+#[allow(clippy::too_many_arguments)] // mirrors the phase's real data flow
+pub(crate) unsafe fn scatter_range<P: GasProgram>(
+    program: &P,
+    view: TopoView<'_>,
+    shape: Shape,
+    lo: u32,
+    hi: u32,
+    vertex_values: &[P::VertexValue],
+    edge_values: &SharedSliceMut<'_, P::EdgeValue>,
+    changed: &Bitmap,
+) -> u64 {
+    let mut n = 0;
+    shape.for_each_set(changed, lo, hi, |v| {
+        let src_val = &vertex_values[v as usize];
+        for (dst, eid) in view.csr_entries(v) {
+            let dst_val = vertex_values[dst as usize];
+            // SAFETY: `eid` is an out-edge of `v`, which no concurrent
+            // call covers (the function's contract).
+            program.scatter(src_val, &dst_val, unsafe {
+                edge_values.get_mut(eid as usize)
+            });
+            n += 1;
         }
-        Shape::Dense => gather_out
-            .par_iter_mut()
-            .enumerate()
-            .map(|(i, out)| {
-                let v = start + i as u32;
-                if !frontier.get(v) {
-                    return (0u64, 0u64);
-                }
-                let (acc, edges) = gather_one(v);
-                *out = acc;
-                (1u64, edges)
-            })
-            .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1)),
+    });
+    n
+}
+
+/// Push-mode FrontierActivate for the changed vertices of `[lo, hi)`:
+/// `mark` every out-neighbour. Returns the out-edges walked.
+pub(crate) fn activate_push_range(
+    view: TopoView<'_>,
+    shape: Shape,
+    lo: u32,
+    hi: u32,
+    changed: &Bitmap,
+    mut mark: impl FnMut(u32),
+) -> u64 {
+    let mut walked = 0;
+    shape.for_each_set(changed, lo, hi, |v| {
+        for (dst, _eid) in view.csr_entries(v) {
+            walked += 1;
+            mark(dst);
+        }
+    });
+    walked
+}
+
+/// Pull-mode FrontierActivate for the destinations `[lo, hi)`: mark `v`
+/// iff one of its CSC in-neighbours changed, reading no further than the
+/// first. This is exactly the set push marks, read through the transpose.
+/// `lo` is word-aligned and `words` is the next frontier's words covering
+/// `[lo, hi)`, so ranges that partition the vertices own disjoint words.
+pub fn activate_pull(view: TopoView<'_>, changed: &Bitmap, lo: u32, hi: u32, words: &mut [u64]) {
+    assert!(
+        lo.is_multiple_of(64) && words.len() == ((hi - lo) as usize).div_ceil(64),
+        "pull range {lo}..{hi} must start word-aligned and own its words"
+    );
+    for (w, word) in words.iter_mut().enumerate() {
+        let base = lo + w as u32 * 64;
+        let mut bits = 0u64;
+        for v in base..(base + 64).min(hi) {
+            if view.csc_entries(v).any(|(src, _)| changed.get(src)) {
+                bits |= 1 << (v - base);
+            }
+        }
+        *word |= bits;
     }
 }
 
 // ---------------------------------------------------------------------------
-// Apply
+// Whole-shard kernels (the calling thread runs the shard's full interval)
 // ---------------------------------------------------------------------------
+
+/// Gather phase for one shard; `gather_out` is the interval's slice of the
+/// gather-temp array. Returns `(active vertices, in-edges gathered)`.
+#[allow(clippy::too_many_arguments)] // mirrors the phase's real data flow
+pub fn gather_shard<P: GasProgram>(
+    program: &P,
+    view: TopoView<'_>,
+    shard: &Shard,
+    vertex_values: &[P::VertexValue],
+    edge_values: &[P::EdgeValue],
+    weights: &[f32],
+    frontier: &Bitmap,
+    gather_out: &mut [P::Gather],
+    mode: HostKernels,
+) -> (u64, u64) {
+    debug_assert_eq!(gather_out.len(), shard.interval.len() as usize);
+    let (lo, hi) = (shard.interval.start, shard.interval.end);
+    let shape = Shape::of(mode, frontier, shard);
+    let (values, edges) = (vertex_values, edge_values);
+    let in_edges = gather_range(
+        program, view, shape, lo, values, edges, weights, frontier, gather_out,
+    );
+    (frontier.count_range(lo, hi), in_edges)
+}
 
 /// Apply phase for one shard: vertex-centric update over the interval's
 /// active vertices. Returns the ids (global, ascending) of changed
@@ -240,58 +380,18 @@ pub fn apply_shard<P: GasProgram>(
     iteration: u32,
     mode: HostKernels,
 ) -> Vec<u32> {
-    let start = shard.interval.start;
-    let end = shard.interval.end;
     debug_assert_eq!(vertex_values.len(), shard.interval.len() as usize);
-    match resolve(mode, frontier.count_range(start, end), (end - start) as u64) {
-        Shape::Serial => {
-            let mut changed = Vec::new();
-            for (i, val) in vertex_values.iter_mut().enumerate() {
-                let v = start + i as u32;
-                if frontier.get(v) && program.apply(val, gather_temp[i], iteration) {
-                    changed.push(v);
-                }
-            }
-            changed
-        }
-        Shape::Sparse => {
-            let mut changed = Vec::new();
-            for v in frontier.iter_set_range(start, end) {
-                let i = (v - start) as usize;
-                if program.apply(&mut vertex_values[i], gather_temp[i], iteration) {
-                    changed.push(v);
-                }
-            }
-            changed
-        }
-        // The parallel collect preserves index order (chunk outputs are
-        // concatenated in chunk order), so the ids come out ascending —
-        // identical to the serial paths.
-        Shape::Dense => vertex_values
-            .par_iter_mut()
-            .enumerate()
-            .filter_map(|(i, val)| {
-                let v = start + i as u32;
-                if !frontier.get(v) {
-                    return None;
-                }
-                program.apply(val, gather_temp[i], iteration).then_some(v)
-            })
-            .collect(),
-    }
+    let (shape, lo) = (Shape::of(mode, frontier, shard), shard.interval.start);
+    let (values, temp) = (vertex_values, gather_temp);
+    let mut changed = Vec::new();
+    apply_range(program, shape, lo, values, temp, frontier, iteration, |v| {
+        changed.push(v)
+    });
+    changed
 }
 
-// ---------------------------------------------------------------------------
-// Scatter
-// ---------------------------------------------------------------------------
-
 /// Scatter phase for one shard: edge-centric over out-edges of changed
-/// vertices, updating mutable edge state through the canonical edge ids.
-/// Returns the number of edges scattered.
-///
-/// The dense shape parallelizes over the interval: every edge's canonical
-/// id appears exactly once in the CSR, so writes from distinct source
-/// vertices land on disjoint `edge_values` slots.
+/// vertices. Returns the number of edges scattered.
 pub fn scatter_shard<P: GasProgram>(
     program: &P,
     view: TopoView<'_>,
@@ -301,75 +401,18 @@ pub fn scatter_shard<P: GasProgram>(
     changed: &Bitmap,
     mode: HostKernels,
 ) -> u64 {
-    let start = shard.interval.start;
-    let end = shard.interval.end;
-
-    match resolve(mode, changed.count_range(start, end), (end - start) as u64) {
-        Shape::Serial => {
-            let mut n = 0;
-            for v in start..end {
-                if !changed.get(v) {
-                    continue;
-                }
-                let src_val = &vertex_values[v as usize];
-                for (dst, eid) in view.csr_entries(v) {
-                    let dst_val = vertex_values[dst as usize];
-                    program.scatter(src_val, &dst_val, &mut edge_values[eid as usize]);
-                    n += 1;
-                }
-            }
-            n
-        }
-        Shape::Sparse => {
-            let mut n = 0;
-            for v in changed.iter_set_range(start, end) {
-                let src_val = &vertex_values[v as usize];
-                for (dst, eid) in view.csr_entries(v) {
-                    let dst_val = vertex_values[dst as usize];
-                    program.scatter(src_val, &dst_val, &mut edge_values[eid as usize]);
-                    n += 1;
-                }
-            }
-            n
-        }
-        Shape::Dense => {
-            let shared = SharedSliceMut::new(edge_values);
-            (start..end)
-                .into_par_iter()
-                .map(|v| {
-                    let v = v as u32;
-                    if !changed.get(v) {
-                        return 0u64;
-                    }
-                    let src_val = &vertex_values[v as usize];
-                    let mut n = 0u64;
-                    for (dst, eid) in view.csr_entries(v) {
-                        let dst_val = vertex_values[dst as usize];
-                        // SAFETY: canonical edge ids of distinct source
-                        // vertices are disjoint (each edge appears once in
-                        // the CSR), and each `v` is visited exactly once.
-                        program.scatter(src_val, &dst_val, unsafe { shared.get_mut(eid as usize) });
-                        n += 1;
-                    }
-                    n
-                })
-                .sum()
-        }
-    }
+    let (lo, hi, values) = (shard.interval.start, shard.interval.end, vertex_values);
+    let (shape, edges) = (
+        Shape::of(mode, changed, shard),
+        SharedSliceMut::new(edge_values),
+    );
+    // SAFETY: this is the only call holding `edge_values`.
+    unsafe { scatter_range(program, view, shape, lo, hi, values, &edges, changed) }
 }
 
-// ---------------------------------------------------------------------------
-// FrontierActivate
-// ---------------------------------------------------------------------------
-
-/// FrontierActivate for one shard (framework-generated, Section 4.4): mark
-/// the out-neighbors of changed vertices active for the next iteration.
-/// Returns `(out_edges_walked, vertices_newly_activated)`.
-///
-/// The dense shape walks interval chunks on parallel workers, each into a
-/// private [`Bitmap`], then merges them with [`Bitmap::or_assign`] in chunk
-/// order; `activated` falls out as the merge's popcount delta, identical to
-/// the serial count of newly set bits.
+/// FrontierActivate for one shard by push (framework-generated, Section
+/// 4.4): mark the out-neighbors of changed vertices active for the next
+/// iteration. Returns `(out_edges_walked, vertices_newly_activated)`.
 pub fn activate_shard(
     view: TopoView<'_>,
     shard: &Shard,
@@ -377,75 +420,14 @@ pub fn activate_shard(
     next_frontier: &mut Bitmap,
     mode: HostKernels,
 ) -> (u64, u64) {
-    let start = shard.interval.start;
-    let end = shard.interval.end;
-    let shape = resolve(mode, changed.count_range(start, end), (end - start) as u64);
-
-    // Serially marking into `next_frontier` — shared by the serial and
-    // sparse shapes (and the dense shape on a single worker, where private
-    // bitmaps would only cost allocations).
-    let mark = |vertices: &mut dyn Iterator<Item = u32>, next: &mut Bitmap| -> (u64, u64) {
-        let mut walked = 0;
-        let mut activated = 0;
-        for v in vertices {
-            for (dst, _eid) in view.csr_entries(v) {
-                walked += 1;
-                // Branch instead of `+= u64::from(..)`: see Bitmap::set for
-                // the rustc 1.95 release-mode miscompile this avoids.
-                if next.set(dst) {
-                    activated += 1;
-                }
-            }
-        }
-        (walked, activated)
-    };
-
-    match shape {
-        Shape::Serial => mark(&mut (start..end).filter(|&v| changed.get(v)), next_frontier),
-        Shape::Sparse => mark(&mut changed.iter_set_range(start, end), next_frontier),
-        Shape::Dense => {
-            if rayon::current_num_threads() <= 1 || (end - start) < 4096 {
-                return mark(&mut (start..end).filter(|&v| changed.get(v)), next_frontier);
-            }
-            let n = next_frontier.len();
-            let workers = rayon::current_num_threads().min(((end - start) / 2048) as usize + 1);
-            let chunk = (end - start).div_ceil(workers as u32).max(1);
-            let ranges: Vec<(u32, u32)> = (0..workers as u32)
-                .map(|c| {
-                    let lo = start + c * chunk;
-                    (lo.min(end), (lo.saturating_add(chunk)).min(end))
-                })
-                .collect();
-            let mut parts: Vec<(u64, Bitmap)> =
-                ranges.iter().map(|_| (0u64, Bitmap::new(n))).collect();
-            rayon::scope(|s| {
-                for (&(lo, hi), part) in ranges.iter().zip(parts.iter_mut()) {
-                    s.spawn(move |_| {
-                        let mut walked = 0u64;
-                        for v in lo..hi {
-                            if !changed.get(v) {
-                                continue;
-                            }
-                            for (dst, _eid) in view.csr_entries(v) {
-                                walked += 1;
-                                part.1.set(dst);
-                            }
-                        }
-                        part.0 = walked;
-                    });
-                }
-            });
-            let mut walked = 0;
-            let mut activated = 0;
-            for (w, local) in &parts {
-                walked += w;
-                let before = next_frontier.count();
-                next_frontier.or_assign(local);
-                activated += next_frontier.count() - before;
-            }
-            (walked, activated)
-        }
-    }
+    let (lo, hi) = (shard.interval.start, shard.interval.end);
+    let shape = Shape::of(mode, changed, shard);
+    let before = next_frontier.count();
+    let walked = next_frontier.update_words(|words| {
+        let next = atomic_words(words);
+        activate_push_range(view, shape, lo, hi, changed, |v| set_bit_atomic(next, v))
+    });
+    (walked, next_frontier.count() - before)
 }
 
 #[cfg(test)]
@@ -703,13 +685,28 @@ mod tests {
     #[test]
     fn adaptive_resolution_tracks_density() {
         // Empty → sparse; full → dense; the threshold sits at 1/8.
-        assert_eq!(resolve(HostKernels::Adaptive, 0, 1000), Shape::Sparse);
-        assert_eq!(resolve(HostKernels::Adaptive, 1000, 1000), Shape::Dense);
-        assert_eq!(resolve(HostKernels::Adaptive, 124, 1000), Shape::Sparse);
-        assert_eq!(resolve(HostKernels::Adaptive, 125, 1000), Shape::Dense);
+        assert_eq!(
+            Shape::resolve(HostKernels::Adaptive, 0, 1000),
+            Shape::Sparse
+        );
+        assert_eq!(
+            Shape::resolve(HostKernels::Adaptive, 1000, 1000),
+            Shape::Dense
+        );
+        assert_eq!(
+            Shape::resolve(HostKernels::Adaptive, 124, 1000),
+            Shape::Sparse
+        );
+        assert_eq!(
+            Shape::resolve(HostKernels::Adaptive, 125, 1000),
+            Shape::Dense
+        );
         // Forced modes ignore the population.
-        assert_eq!(resolve(HostKernels::Dense, 0, 1000), Shape::Dense);
-        assert_eq!(resolve(HostKernels::Sparse, 1000, 1000), Shape::Sparse);
-        assert_eq!(resolve(HostKernels::Serial, 0, 1000), Shape::Serial);
+        assert_eq!(Shape::resolve(HostKernels::Dense, 0, 1000), Shape::Dense);
+        assert_eq!(
+            Shape::resolve(HostKernels::Sparse, 1000, 1000),
+            Shape::Sparse
+        );
+        assert_eq!(Shape::resolve(HostKernels::Serial, 0, 1000), Shape::Serial);
     }
 }

@@ -6,7 +6,7 @@
 //! the host master state at a BSP iteration boundary is a complete resume
 //! point: replaying the remaining iterations converges bit-identically to
 //! the uninterrupted run. Every snapshot is one container in the shared
-//! [`crate::frame`] layout: a fixed header (kind, fingerprint, `n`, `m`,
+//! `crate::frame` layout: a fixed header (kind, fingerprint, `n`, `m`,
 //! iteration count, delta base, placement) and a body of fixed-width
 //! little-endian state via [`StateBytes`] — a full holds every vertex, a
 //! delta the dirty bitmap and the same per-vertex records for the dirty

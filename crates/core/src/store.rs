@@ -184,7 +184,7 @@ impl ShardStore for MemShardStore {
 }
 
 /// File-backed store: one blob per shard under a directory, each a
-/// [`crate::frame`] (magic [`SPILL_MAGIC`], the shard id as its header,
+/// `crate::frame` (magic [`SPILL_MAGIC`], the shard id as its header,
 /// the payload as its body) written temp-file + rename like snapshots, so
 /// a crash mid-spill never leaves a readable-but-wrong blob. With a codec
 /// the body is the payload's u32 little-endian words stride-2

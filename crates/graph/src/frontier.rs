@@ -131,6 +131,21 @@ impl Bitmap {
         Some(Bitmap { words, len, count })
     }
 
+    /// Write the backing words directly (bulk kernels that build whole
+    /// words, or OR them in from several threads), then recount. Bits past
+    /// `len` are cleared, so the popcount stays exact.
+    pub fn update_words<R>(&mut self, f: impl FnOnce(&mut [u64]) -> R) -> R {
+        let out = f(&mut self.words);
+        let tail = self.len % 64;
+        if tail != 0 {
+            if let Some(last) = self.words.last_mut() {
+                *last &= (1u64 << tail) - 1;
+            }
+        }
+        self.count = self.words.iter().map(|w| w.count_ones() as u64).sum();
+        out
+    }
+
     /// Clear all bits.
     pub fn clear_all(&mut self) {
         self.words.fill(0);
@@ -441,6 +456,21 @@ mod tests {
         // Word-aligned lengths have no tail to validate.
         assert!(Bitmap::from_words(128, vec![!0, !0]).is_some());
         assert!(Bitmap::from_words(0, vec![]).is_some());
+    }
+
+    #[test]
+    fn update_words_recounts_and_keeps_the_tail_clean() {
+        let mut b = Bitmap::new(70);
+        b.set(3);
+        let seen = b.update_words(|w| {
+            w[0] |= 1 << 10;
+            w[1] = !0; // bits 64..128, of which only 64..70 exist
+            w.len()
+        });
+        assert_eq!(seen, 2);
+        assert_eq!(b.count(), 2 + 6);
+        assert_eq!(b.iter_set().last(), Some(69));
+        assert_eq!(b, Bitmap::from_words(70, b.words().to_vec()).unwrap());
     }
 
     #[test]

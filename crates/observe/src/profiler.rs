@@ -10,7 +10,7 @@
 //! plus the worker thread it ran on; [`WallProfiler::profile`] aggregates
 //! the samples into a [`WallProfile`] — self/total wall time per key,
 //! per-phase totals, per-thread busy time, and a fan-out imbalance ratio
-//! for the rayon across-shard paths.
+//! across the shards of each phase.
 //!
 //! Timestamps are **real nanoseconds** since the profiler was armed, not
 //! virtual simulator time; [`WallProfile::to_span_events`] exports them
@@ -45,8 +45,9 @@ pub struct WallKey {
     /// GAS phase (`"gather"`, `"apply"`, …), [`WALL_ITERATION`], or a
     /// caller-defined label like `"setup"`.
     pub phase: &'static str,
-    /// Kernel shape that executed (`"serial"`/`"dense"`/`"sparse"`), or
-    /// `""` when shapes don't apply.
+    /// Kernel shape that executed (`"serial"`/`"dense"`/`"sparse"`, or
+    /// `"pull"` for pull-mode activation), or `""` when shapes don't
+    /// apply.
     pub shape: &'static str,
 }
 
@@ -58,15 +59,17 @@ pub struct WallSample {
     /// Real nanoseconds since the profiler was armed.
     pub start_ns: u64,
     pub dur_ns: u64,
-    /// Dense worker ordinal (0 = first thread that recorded; scoped
-    /// rayon workers reuse low ordinals as they come and go).
+    /// Dense worker ordinal (0 = first thread that recorded; threads that
+    /// come and go reuse low ordinals).
     pub thread: u32,
 }
 
-// Worker-thread ordinals: a global free-list so the ephemeral threads
-// `rayon::scope` spawns (one batch per fan-out) reuse low slot numbers
-// instead of growing an unbounded id space. A thread leases an ordinal on
-// its first sample and returns it when the thread exits.
+// Worker-thread ordinals. Host-pool workers persist for the life of
+// their pool, so a run's samples carry one ordinal per pool thread plus
+// the caller; a global free-list lets threads that do come and go (the
+// scoped pools of a thread sweep, test and server threads) reuse low slot
+// numbers instead of growing an unbounded id space. A thread leases an
+// ordinal on its first sample and returns it when the thread exits.
 static ORDINAL_FREE: Mutex<Vec<u32>> = Mutex::new(Vec::new());
 static ORDINAL_NEXT: AtomicU32 = AtomicU32::new(0);
 
@@ -304,13 +307,27 @@ impl WallProfile {
         }
     }
 
-    /// Summed wall time of the GAS leaf phases (host kernel time proper).
+    /// Wall time with at least one GAS leaf scope running (host kernel
+    /// time proper). Leaves that overlap on several threads count once,
+    /// so this never exceeds the real time it spans; per-thread busy time
+    /// is [`WallProfile::thread_busy_ns`], per-phase busy time
+    /// [`WallProfile::phase_totals`].
     pub fn kernel_ns(&self) -> u64 {
-        self.rows
+        let mut spans: Vec<(u64, u64)> = self
+            .samples
             .iter()
-            .filter(|r| r.key.phase != WALL_ITERATION)
-            .map(|r| r.self_ns)
-            .sum()
+            .filter(|s| s.key.phase != WALL_ITERATION)
+            .map(|s| (s.start_ns, s.start_ns + s.dur_ns))
+            .collect();
+        spans.sort_unstable();
+        let (mut covered, mut reached) = (0, 0);
+        for (start, end) in spans {
+            if end > reached {
+                covered += end - start.max(reached);
+                reached = end;
+            }
+        }
+        covered
     }
 
     /// Per-phase wall totals in [`WALL_PHASES`] order, then any other
@@ -428,9 +445,11 @@ impl WallProfile {
 pub struct WallSummary {
     /// Total real host time (iteration windows, incl. merges).
     pub total_ns: u64,
-    /// Real time inside the GAS phase kernels proper.
+    /// Real time with at least one GAS phase kernel running (parallel
+    /// kernels count once; see [`WallProfile::kernel_ns`]).
     pub kernel_ns: u64,
-    /// Per-phase wall totals ([`WALL_PHASES`] first, extras after).
+    /// Per-phase busy totals, summed over threads ([`WALL_PHASES`] first,
+    /// extras after).
     pub phases: Vec<(&'static str, u64)>,
     /// Worker threads that did leaf work.
     pub threads: usize,
@@ -600,6 +619,24 @@ mod tests {
         assert_eq!(sum.total_ns, 100);
         assert_eq!(sum.kernel_ns, 95);
         assert_eq!(sum.threads, 1);
+    }
+
+    #[test]
+    fn overlapping_leaves_count_once_in_kernel_time() {
+        // Two threads run gather chunks side by side inside one window.
+        let prof = WallProfile::from_samples(
+            "cc".into(),
+            vec![
+                sample(key(0, WALL_NO_SHARD, WALL_ITERATION, ""), 0, 100, 0),
+                sample(key(0, 0, "gather", "dense"), 10, 50, 0),
+                sample(key(0, 1, "gather", "dense"), 20, 60, 1),
+                sample(key(0, 1, "apply", "dense"), 85, 5, 1),
+            ],
+        );
+        assert_eq!(prof.kernel_ns(), 70 + 5, "covered time, not summed");
+        assert!(prof.kernel_ns() <= prof.total_ns());
+        assert_eq!(prof.phase_totals()[0], ("gather", 110), "busy time");
+        assert_eq!(prof.thread_busy_ns, vec![50, 65]);
     }
 
     #[test]

@@ -8,9 +8,15 @@
 //! whole engine runs for all four evaluated algorithms.
 
 use gr_algorithms::{Bfs, Cc, PageRank, Sssp};
-use gr_graph::{build_shards, gen, Bitmap, GraphLayout, Interval, Shard, TopoView};
+use gr_graph::{
+    build_shards, gen, Bitmap, CompressedTopology, CompressionCodec, EdgeList, GraphLayout,
+    Interval, Shard, TopoView,
+};
+use gr_observe::{export, Observer};
 use gr_sim::Platform;
-use graphreduce::phases::{activate_shard, apply_shard, gather_shard, scatter_shard};
+use graphreduce::phases::{
+    activate_pull, activate_shard, apply_shard, gather_shard, scatter_shard,
+};
 use graphreduce::{GasProgram, GraphReduce, HostKernels, Options};
 
 /// Force a multi-thread worker pool so the parallel dense paths (and the
@@ -301,4 +307,174 @@ fn pagerank_runs_agree_across_modes() {
 #[test]
 fn cc_runs_agree_across_modes() {
     assert_runs_agree(Cc);
+}
+
+// ---------------------------------------------------------------------------
+// Push vs pull activation, and bit-identity across pool widths, on a
+// directed multigraph: pull reads the CSC and push the CSR, so only a
+// non-symmetric graph can tell a transposed read from a correct one.
+// ---------------------------------------------------------------------------
+
+/// Directed R-MAT plus explicit self-loops and parallel edges, and 64
+/// trailing vertices with no edge at all.
+fn directed_multigraph() -> GraphLayout {
+    let base = gen::rmat_g500(12, 30_000, 9);
+    let n = base.num_vertices;
+    let mut edges = base.edges;
+    for v in (0..n).step_by(97) {
+        let dst = (v * 7 + 1) % n;
+        edges.extend([(v, v), (v, dst), (v, dst)]);
+    }
+    let el = gen::with_random_weights(EdgeList::from_edges(n + 64, edges), 1.0, 4);
+    let layout = GraphLayout::build(&el);
+    let csr = &layout.csr;
+    assert!(
+        (0..n).any(|v| csr.entries(v).any(|(d, _)| d == v)),
+        "self-loop"
+    );
+    assert!((n..n + 64).all(|v| csr.degree(v) == 0 && layout.csc.degree(v) == 0));
+    assert!(
+        (0..n).any(|v| csr.degree(v) != layout.csc.degree(v)),
+        "the graph must not be symmetric"
+    );
+    layout
+}
+
+/// Shards with boundaries that are not multiples of 64.
+fn odd_shards(layout: &GraphLayout) -> Vec<Shard> {
+    let n = layout.num_vertices();
+    let cuts = [0, 1_000, 2_501, 2_502, n];
+    let intervals: Vec<Interval> = cuts
+        .windows(2)
+        .map(|w| Interval {
+            start: w[0],
+            end: w[1],
+        })
+        .collect();
+    build_shards(layout, &intervals)
+}
+
+#[test]
+fn pull_and_push_activation_agree_with_the_serial_oracle() {
+    let layout = directed_multigraph();
+    let shards = odd_shards(&layout);
+    let n = layout.num_vertices();
+    let comp = CompressedTopology::build(&layout, CompressionCodec::Zeta(3));
+    for view in [TopoView::raw(&layout), TopoView::compressed(&layout, &comp)] {
+        for (di, &density) in DENSITIES.iter().enumerate() {
+            let changed = random_frontier(n, density, 23 + di as u64);
+            let push = |mode: HostKernels| {
+                let mut next = Bitmap::new(n);
+                let walked: u64 = shards
+                    .iter()
+                    .map(|sh| activate_shard(view, sh, &changed, &mut next, mode).0)
+                    .sum();
+                (walked, next)
+            };
+            let (walked, oracle) = push(HostKernels::Serial);
+            let push_work: u64 = changed.iter_set().map(|v| layout.csr.degree(v)).sum();
+            assert_eq!(walked, push_work, "push work is the changed out-degree");
+            assert_eq!(push(HostKernels::Sparse), (walked, oracle.clone()));
+
+            // Pull over word-aligned ranges, whole and split.
+            for cuts in [vec![0, n], vec![0, 64, 1_024, 2_560, n]] {
+                let mut pulled = Bitmap::new(n);
+                pulled.update_words(|words| {
+                    for r in cuts.windows(2) {
+                        let (lo, hi) = (r[0], r[1]);
+                        let w = &mut words[lo as usize / 64..(hi as usize).div_ceil(64)];
+                        activate_pull(view, &changed, lo, hi, w);
+                    }
+                });
+                assert_eq!(
+                    pulled,
+                    oracle,
+                    "pull != push at density {density} (compressed: {}, cuts {cuts:?})",
+                    view.is_compressed()
+                );
+            }
+        }
+    }
+}
+
+/// Run `program` on the directed multigraph in `width`-thread pools and
+/// return everything a run exposes: vertex and edge state, the iteration
+/// trace (incl. `activated`), and the recorded device timeline, whose
+/// per-shard kernel spans are priced from each shard's `ShardWork`.
+fn run_at_width<P: GasProgram + Clone + Send>(
+    program: &P,
+    layout: &GraphLayout,
+    opts: &Options,
+    width: usize,
+) -> (Vec<P::VertexValue>, Vec<P::EdgeValue>, String, String)
+where
+    P::VertexValue: Send,
+    P::EdgeValue: Send,
+{
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(width)
+        .build()
+        .unwrap();
+    pool.install(|| {
+        let (observer, sink) = Observer::recording();
+        let out = GraphReduce::new(
+            program.clone(),
+            layout,
+            Platform::paper_node_scaled(8_192),
+            opts.clone(),
+        )
+        .with_observer(observer)
+        .run()
+        .unwrap();
+        assert!(out.stats.num_shards > 1, "the run must stream shards");
+        (
+            out.vertex_values,
+            out.edge_values,
+            format!("{:?}", out.stats.per_iteration),
+            export::jsonl(&sink.recorded()),
+        )
+    })
+}
+
+fn assert_widths_agree<P: GasProgram + Clone + Send>(program: P)
+where
+    P::VertexValue: PartialEq + std::fmt::Debug + Send,
+    P::EdgeValue: PartialEq + std::fmt::Debug + Send,
+{
+    let layout = directed_multigraph();
+    for opts in [
+        Options::optimized(),
+        Options::optimized().with_shard_compression(CompressionCodec::Zeta(3)),
+    ] {
+        let oracle = run_at_width(&program, &layout, &opts, 1);
+        for width in [2, 4] {
+            let got = run_at_width(&program, &layout, &opts, width);
+            assert!(
+                got == oracle,
+                "{} at width {width} differs from width 1 (compression {:?})",
+                program.name(),
+                opts.shard_compression
+            );
+        }
+    }
+}
+
+#[test]
+fn bfs_runs_are_bit_identical_across_widths() {
+    assert_widths_agree(Bfs::new(0));
+}
+
+#[test]
+fn sssp_runs_are_bit_identical_across_widths() {
+    assert_widths_agree(Sssp::new(0));
+}
+
+#[test]
+fn pagerank_runs_are_bit_identical_across_widths() {
+    assert_widths_agree(PageRank::default());
+}
+
+#[test]
+fn cc_runs_are_bit_identical_across_widths() {
+    assert_widths_agree(Cc);
 }

@@ -11,7 +11,7 @@ use graphreduce_repro::core::{report, GraphReduce, Options, RunStats, WallProfil
 use graphreduce_repro::graph::{gen, EdgeList, GraphLayout};
 use graphreduce_repro::observe::{export, FieldValue, Observer, Recorded};
 use graphreduce_repro::sim::Platform;
-use graphreduce_repro::{Bfs, Heat};
+use graphreduce_repro::{Bfs, Cc, Heat};
 
 /// A run that exercises all five GAS phases (Heat defines gather *and*
 /// scatter) over many shards on a shrunken device.
@@ -208,4 +208,35 @@ fn unified_trace_has_sim_and_engine_tracks() {
     // iterations) both carry events.
     assert!(trace.contains("\"name\":\"h2d\"") || trace.contains("\"name\":\"kernel"));
     assert!(trace.contains("iteration 0"));
+}
+
+/// The host pool is a hard cap on the threads doing kernel work: a CC run
+/// on a 2-thread pool records its kernel scopes on at most two threads
+/// (the calling thread and one pool worker), however many shards stream.
+#[test]
+fn a_two_thread_pool_profiles_at_most_two_kernel_threads() {
+    let layout = GraphLayout::build(&gen::rmat_g500(12, 40_000, 7).symmetrize());
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .unwrap();
+    let stats = pool.install(|| {
+        GraphReduce::new(
+            Cc,
+            &layout,
+            Platform::paper_node_scaled(1 << 13),
+            Options::optimized(),
+        )
+        .with_wall_profiler(WallProfiler::armed())
+        .run()
+        .unwrap()
+        .stats
+    });
+    assert!(stats.num_shards > 2, "more shards than threads");
+    let summary = stats.wall.expect("armed profiler fills wall");
+    assert!(
+        (1..=2).contains(&summary.threads),
+        "{} threads did kernel work on a 2-thread pool",
+        summary.threads
+    );
 }
